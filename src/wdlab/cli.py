@@ -70,7 +70,7 @@ def _cmd_grid(args) -> int:
     result = training.grid(cfg, _parse_axis(args.etas), _parse_axis(args.betas),
                            jobs=args.jobs)
     for cell in result.cells:
-        acc = "-" if cell.val_accuracy is None else f"{cell.val_accuracy:.4f}"
+        acc = "-" if cell.status != "trained" else f"{cell.val_accuracy:.4f}"
         print(f"eta={cell.eta:g} beta={cell.beta:g}: {cell.status} val_acc={acc}")
     best = result.best
     print(f"best: eta={best.eta:g} beta={best.beta:g} "

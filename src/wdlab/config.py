@@ -2,9 +2,10 @@
 dotted-key overrides for the command line.
 
 The file format is standard INI with sections [data], [model], [optimizer],
-[coupling], [run], [diagnostics]; every value is a scalar or a
-whitespace-separated list.  CLI `--set section.key=value` entries override
-file values, which override defaults.
+[coupling], [run], [diagnostics]; every value is a scalar or a list
+separated by whitespace or commas, and `;` starts an inline comment.  CLI
+`--set section.key=value` entries override file values, which override
+defaults.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 import io
 from dataclasses import dataclass, field
 
-from . import nn, optim
+from . import curvature, nn, optim
 from .errors import DataFormatError, DomainError
 
 OPTIMIZERS = ("sgd", "adam", "kfac_fisher", "kfac_gn")
@@ -72,6 +73,10 @@ class ExperimentConfig:
             raise DomainError(f"unknown coupling {self.coupling!r}")
         if self.mask not in MASKS:
             raise DomainError(f"unknown mask {self.mask!r}; choose from {MASKS}")
+        if self.damping not in curvature.DAMPING_MODES:
+            raise DomainError(
+                f"unknown damping {self.damping!r}; choose from {curvature.DAMPING_MODES}"
+            )
         if self.n_train < 1 or self.n_val < 0 or self.n_test < 0:
             raise DomainError(
                 f"split sizes must be positive train / nonnegative val, test; got "
@@ -170,7 +175,7 @@ def _parse_value(raw: str, kind):
             raise DataFormatError(f"expected yes/no, got {raw!r}")
         return _BOOL_WORDS[word]
     if kind == "int_list":
-        return tuple(int(tok) for tok in raw.split())
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
     raise AssertionError(kind)
 
 
@@ -184,16 +189,14 @@ def _format_value(value, kind) -> str:
 
 def load_config(path) -> ExperimentConfig:
     """Parse an INI experiment file; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
     with open(path) as fh:
-        parser.read_file(fh)
-    return _from_parser(parser, source=str(path))
+        return parse_config_text(fh.read(), source=str(path))
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    return _from_parser(parser, source="<string>")
+def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(text, source=source)
+    return _from_parser(parser, source=source)
 
 
 def _from_parser(parser: configparser.ConfigParser, source: str) -> ExperimentConfig:

@@ -31,6 +31,7 @@ FISHER_EXACT = "fisher_exact"
 GAUSS_NEWTON = "gauss_newton"
 GENERALIZED_GN = "generalized_gn"
 CURVATURE_KINDS = (FISHER_SAMPLED, FISHER_EXACT, GAUSS_NEWTON, GENERALIZED_GN)
+DAMPING_MODES = ("factored", "dense")
 
 PARAM_CAP = 20000
 CLASS_CAP = 16
@@ -167,17 +168,15 @@ class KfacFactors:
 
     a_factors[l] is the input second moment of layer l (with a trailing
     homogeneous coordinate when the network has biases); s_factors[l] the
-    pre-activation-gradient second moment.  Eigendecompositions are captured
-    at inversion time and reused until the next inversion, so the applied
-    preconditioner is deliberately stale between refreshes.
+    pre-activation-gradient second moment.  inverses[l], computed at inversion
+    time and deliberately stale until the next inversion, holds
+    ((S + sqrt(lam) I)^-1, (A + sqrt(lam) I)^-1, None) under factored damping
+    and (Q_S, Q_A, mu_S mu_A^T + lam) from the eigenpairs under dense damping.
     """
 
     a_factors: list[np.ndarray]
     s_factors: list[np.ndarray]
-    a_eigs: list[linalg.SymmetricEigen] | None = None
-    s_eigs: list[linalg.SymmetricEigen] | None = None
-    lam: float | None = None
-    damping_mode: str | None = None
+    inverses: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] | None = None
     steps_since_inversion: int = 0
 
     @staticmethod
@@ -201,11 +200,11 @@ def estimate_kfac_factors(
     metric: str,
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
-    x,
+    trace: nn.ForwardTrace,
     loss_kind: str = loss.CROSS_ENTROPY,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Batch estimates of (A_l, S_l) for every layer.
+    """Batch estimates of (A_l, S_l) for every layer from a train-mode forward.
 
     A_l is the second moment of the layer inputs.  S_l under the "fisher"
     metric is the second moment of back-propagated loss gradients at
@@ -217,8 +216,9 @@ def estimate_kfac_factors(
         raise DomainError(f"metric must be 'fisher' or 'gn', got {metric!r}")
     if metric == "fisher" and rng is None:
         raise DomainError("fisher factors need an rng for target sampling")
-    xm = np.asarray(x, dtype=np.float64)
-    logits, trace = nn.forward(spec, params, xm, mode="train")
+    if trace.mode != "train":
+        raise ContractError("factor estimates need a train-mode forward trace")
+    logits = trace.logits
     n, k = logits.shape
     a_list = [_augment_inputs(spec, a) for a in trace.layer_inputs]
     s_sums = [np.zeros((spec.layer_dims[l + 1], spec.layer_dims[l + 1])) for l in range(spec.n_layers)]
@@ -275,15 +275,22 @@ def update_factors_ema(
 
 
 def invert_factors(state: KfacFactors, lam: float, damping: str = "factored") -> KfacFactors:
-    """Capture eigendecompositions of the current factors for preconditioning."""
+    """Compute and store every layer's damped inverse for preconditioning."""
     if lam <= 0.0:
         raise DomainError(f"damping must be positive, got {lam}")
-    if damping not in ("factored", "dense"):
-        raise DomainError(f"unknown damping mode {damping!r}")
-    state.a_eigs = [linalg.sym_eig(a) for a in state.a_factors]
-    state.s_eigs = [linalg.sym_eig(s) for s in state.s_factors]
-    state.lam = lam
-    state.damping_mode = damping
+    if damping not in DAMPING_MODES:
+        raise DomainError(f"unknown damping mode {damping!r}; choose from {DAMPING_MODES}")
+    root = np.sqrt(lam)
+    inverses = []
+    for a, s in zip(state.a_factors, state.s_factors):
+        ea, es = linalg.sym_eig(a), linalg.sym_eig(s)
+        qa, qs = ea.eigenvectors, es.eigenvectors
+        if damping == "factored":
+            inverses.append(((qs / (es.eigenvalues + root)) @ qs.T,
+                             (qa / (ea.eigenvalues + root)) @ qa.T, None))
+        else:
+            inverses.append((qs, qa, np.outer(es.eigenvalues, ea.eigenvalues) + lam))
+    state.inverses = inverses
     state.steps_since_inversion = 0
     return state
 
@@ -296,24 +303,19 @@ def apply_preconditioner(state: KfacFactors, layer: int, grad_matrix) -> np.ndar
     computes (S + sqrt(lam) I)^-1 V (A + sqrt(lam) I)^-1; dense damping
     inverts S (x) A + lam I through the factors' eigenbases.
     """
-    if state.a_eigs is None or state.s_eigs is None:
+    if state.inverses is None:
         raise ContractError("factors have not been inverted yet")
     v = np.asarray(grad_matrix, dtype=np.float64)
-    ea = state.a_eigs[layer]
-    es = state.s_eigs[layer]
-    if v.shape != (es.eigenvalues.size, ea.eigenvalues.size):
+    s_side, a_side, denom = state.inverses[layer]
+    if v.shape != (s_side.shape[0], a_side.shape[0]):
         raise ShapeError(
             f"layer {layer}: gradient shape {v.shape} does not match factors "
-            f"({es.eigenvalues.size} x {ea.eigenvalues.size})"
+            f"({s_side.shape[0]} x {a_side.shape[0]})"
         )
-    if state.damping_mode == "factored":
-        root = np.sqrt(state.lam)
-        left = (es.eigenvectors / (es.eigenvalues + root)) @ es.eigenvectors.T
-        right = (ea.eigenvectors / (ea.eigenvalues + root)) @ ea.eigenvectors.T
-        return left @ v @ right
-    core = es.eigenvectors.T @ v @ ea.eigenvectors
-    denom = np.outer(es.eigenvalues, ea.eigenvalues) + state.lam
-    return es.eigenvectors @ (core / denom) @ ea.eigenvectors.T
+    if denom is None:
+        return s_side @ v @ a_side
+    core = s_side.T @ v @ a_side
+    return s_side @ (core / denom) @ a_side.T
 
 
 # --- metric norms -----------------------------------------------------------

@@ -259,8 +259,7 @@ class KfacState:
 
     metric "fisher" estimates S from model-sampled targets; "gn" from output
     seeds.  Factors refresh by EMA every t_stats steps and their inverses
-    every t_inv steps; step 0 forces both.  `alg1_literal` switches the
-    decoupled decay from eta*beta*W to a bare beta*W per step.
+    every t_inv steps; step 0 forces both.
     """
 
     metric: str
@@ -271,7 +270,6 @@ class KfacState:
     t_inv: int = 100
     factor_decay: float = 0.95
     damping_mode: str = "factored"
-    alg1_literal: bool = False
     loss_kind: str = loss.CROSS_ENTROPY
     rng: np.random.Generator | None = None
     base_eta: float = field(init=False)
@@ -306,33 +304,29 @@ def kfac_step(
     batch: tuple,
     coupling: Coupling = Coupling(),
     bn_state: nn.BnState | None = None,
-) -> nn.NetworkParams:
-    """One K-FAC step on a (inputs, targets) batch.
+) -> tuple[nn.NetworkParams, float]:
+    """One K-FAC step on an (inputs, targets) batch: (new params, batch loss).
 
-    The loss gradient is preconditioned per layer by the stored damped factor
-    inverses; l2 adds beta*W to the gradient before preconditioning while
-    weight_decay subtracts eta*beta*W (or beta*W under alg1_literal) after.
+    One train-mode forward serves the loss, its gradient and, when due, the
+    factor statistics.  The gradient is preconditioned per layer by the
+    stored damped factor inverses; l2 adds beta*W to the gradient before
+    preconditioning while weight_decay subtracts eta*beta*W after.
     """
-    if coupling.mode != COUPLING_NONE:
-        if state.alg1_literal and coupling.mode == COUPLING_WD:
-            if coupling.beta >= 1.0:
-                raise InstabilityError(f"literal decay beta = {coupling.beta} >= 1")
-        else:
-            _check_decay_stability(state.eta, coupling)
+    _check_decay_stability(state.eta, coupling)
     x, targets = batch
     if state.factors is None:
         state.factors = curvature.KfacFactors.zeros(spec)
 
+    logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
     if state.step % state.t_stats == 0:
         fresh = curvature.estimate_kfac_factors(
-            state.metric, spec, params, x, loss_kind=state.loss_kind, rng=state.rng
+            state.metric, spec, params, trace, loss_kind=state.loss_kind, rng=state.rng
         )
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
         curvature.invert_factors(state.factors, state.lam, state.damping_mode)
 
-    logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
-    _, dl_dz = loss.loss_and_grad(state.loss_kind, logits, targets)
+    value, dl_dz = loss.loss_and_grad(state.loss_kind, logits, targets)
     result = nn.backward(spec, params, trace, dl_dz)
 
     mask = coupling.layer_mask(spec.n_layers)
@@ -356,12 +350,11 @@ def kfac_step(
         else:
             new.weights[l] = params.weights[l] - eta * pre
         if coupling.mode == COUPLING_WD and mask[l] and coupling.beta != 0.0:
-            decay = coupling.beta if state.alg1_literal else eta * coupling.beta
-            new.weights[l] = new.weights[l] - decay * params.weights[l]
+            new.weights[l] = new.weights[l] - (eta * coupling.beta) * params.weights[l]
 
     state.factors.steps_since_inversion += 1
     state.step += 1
-    return new
+    return new, value
 
 
 # --- reference normalized-direction updates ---------------------------------

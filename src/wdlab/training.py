@@ -89,12 +89,7 @@ def make_optimizer(cfg: config_mod.ExperimentConfig):
 def _minibatch_pass(spec, params, bn_state, opt_state, coupling, x, y):
     """One optimizer update on one minibatch; returns (params, batch loss)."""
     if isinstance(opt_state, optim.KfacState):
-        # monitoring forward without bn_state: the step below owns the one
-        # running-stats update for this batch
-        logits, _ = nn.forward(spec, params, x, mode="train")
-        value, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-        new_params = optim.kfac_step(opt_state, spec, params, (x, y), coupling, bn_state=bn_state)
-        return new_params, value
+        return optim.kfac_step(opt_state, spec, params, (x, y), coupling, bn_state=bn_state)
     logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
     value, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
     grads = nn.backward(spec, params, trace, dl)

@@ -3,8 +3,8 @@
 Each check draws many small random networks, evaluates one identity through
 two independent routes, and reports the worst relative error seen.  Checks
 are deterministic given their seed and independent of each other.  Degenerate
-draws (kink-adjacent ReLU inputs, collapsed outputs, fully active ReLU nets)
-are resampled, never silently accepted.
+draws (kink-adjacent ReLU inputs, collapsed outputs, fully active ReLU nets,
+near-epsilon BN variances) are resampled, never silently accepted.
 """
 
 from __future__ import annotations
@@ -214,12 +214,17 @@ def check_bn_scale_invariance(trials: int = 100, seed: int = 0) -> CheckReport:
     for _ in range(trials):
         dims = [int(rng.integers(4, 9)) for _ in range(4)]
         spec = nn.mlp(dims, activation="relu", bn=True, bias=False)
-        params = nn.init_params(spec, rng)
-        # keep pre-activation variances far above the BN epsilon, even after
-        # the alpha=0.5 rescale shrinks them fourfold
-        params.weights[1] = params.weights[1] * 40.0
-        x = 40.0 * rng.normal(size=(12, spec.input_dim))
-        base, _ = nn.forward(spec, params, x, mode="train")
+        # redraw net and inputs until every BN-covered batch variance is far
+        # above the BN epsilon, even after the alpha=0.5 rescale quarters it
+        for _ in range(RESAMPLE_TRIES):
+            params = nn.init_params(spec, rng)
+            params.weights[1] = params.weights[1] * 40.0
+            x = 40.0 * rng.normal(size=(12, spec.input_dim))
+            base, trace = nn.forward(spec, params, x, mode="train")
+            if min(s.var(axis=0).min() for s in trace.pre_activations[:-1]) >= 100.0:
+                break
+        else:
+            raise DegenerateError("could not sample a BN net with batch variances >= 100")
         denom = float(np.linalg.norm(base))
         for layer in (0, 1):
             for alpha in (0.5, 2.0, 10.0):
@@ -364,7 +369,8 @@ def check_kfac_linear_exactness(trials: int = 100, seed: int = 0) -> CheckReport
         spec = nn.mlp(dims, activation="identity", bias=False)
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(7, spec.input_dim))
-        factors = curvature.estimate_kfac_factors("gn", spec, params, x)
+        _, trace = nn.forward(spec, params, x, mode="train")
+        factors = curvature.estimate_kfac_factors("gn", spec, params, trace)
         dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
         slices = nn.layer_slices(spec)
         for (a_l, s_l), sl in zip(factors, slices):
@@ -374,12 +380,12 @@ def check_kfac_linear_exactness(trials: int = 100, seed: int = 0) -> CheckReport
         spec = nn.mlp([3, 5, 2], activation="relu", bias=False)
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(7, 3))
-        _, trace = nn.forward(spec, params, x, mode="eval")
+        _, trace = nn.forward(spec, params, x, mode="train")
         if any(s.min() < -1e-3 for s in trace.pre_activations):
             break
     else:
         raise DegenerateError("could not sample a ReLU net with an inactive unit")
-    factors = curvature.estimate_kfac_factors("gn", spec, params, x)
+    factors = curvature.estimate_kfac_factors("gn", spec, params, trace)
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
     sl = nn.layer_slices(spec)[0]
     a_0, s_0 = factors[0]

@@ -61,13 +61,23 @@ def test_bad_config_value_is_a_user_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    ini = write_ini(tmp_path, tiny_config(out_dir, optimizer="kfac_gn"))
+    code = cli.main(["train", "--config", str(ini), "--set", "optimizer.damping=isotropic"])
+    assert code == 2
+    assert "damping" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_grid_command_picks_and_retrains(tmp_path, capsys):
     ini = write_ini(tmp_path, tiny_config(tmp_path / "grid", epochs=1))
     code = cli.main(["grid", "--config", str(ini), "--etas", "0.1",
                      "--betas", "0,10"])  # eta*beta >= 1 cell must be rejected
     out = capsys.readouterr().out
     assert code == 0
-    assert "rejected" in out
+    assert "eta=0.1 beta=10: rejected val_acc=-" in out
+    assert "nan" not in out
     assert "best: eta=0.1 beta=0" in out
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,8 @@ def test_validation_rejects_bad_fields():
         config.ExperimentConfig(dataset="mnist")  # no paths
     with pytest.raises(DomainError):
         config.ExperimentConfig(trace_layers=(7,))
+    with pytest.raises(DomainError):
+        config.ExperimentConfig(damping="isotropic")
 
 
 INI = """
@@ -90,6 +94,20 @@ def test_ini_parsing(tmp_path):
     assert cfg.schedule == (1, 2)
     assert cfg.trace_layers == (0, 1)
     assert cfg.out_dir == "runs/demo"
+
+
+def test_ini_lists_accept_commas_and_inline_comments():
+    cfg = config.parse_config_text(
+        "[model]\ndims = 30,16, 4   ; widths\n[run]\nschedule = 1,2\n"
+    )
+    assert cfg.layer_dims == (30, 16, 4)
+    assert cfg.schedule == (1, 2)
+
+
+def test_readme_ini_block_loads_as_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert config.parse_config_text(block) == config.ExperimentConfig()
 
 
 def test_ini_round_trip():

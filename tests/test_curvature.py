@@ -160,12 +160,18 @@ def test_per_example_jacobians_through_bn_match_finite_differences():
 # --- Kronecker factors ------------------------------------------------------
 
 
+def estimate_factors(metric, spec, params, x, **kw):
+    """Factor estimates from a fresh train-mode forward of x."""
+    _, trace = nn.forward(spec, params, x, mode="train")
+    return curvature.estimate_kfac_factors(metric, spec, params, trace, **kw)
+
+
 def test_kfac_factors_single_layer_reproduce_dense_exactly():
     rng = np.random.default_rng(9)
     spec = nn.mlp((3, 2), activation=nn.IDENTITY)
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 3))])
     x = rng.normal(size=(10, 3))
-    [(a, s)] = curvature.estimate_kfac_factors("gn", spec, params, x)
+    [(a, s)] = estimate_factors("gn", spec, params, x)
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
     # row-major flattening of out x in weights makes the block S (x) A
     assert_allclose(np.kron(s, a), dense, rtol=1e-10, atol=1e-13)
@@ -176,7 +182,7 @@ def test_kfac_factors_deep_linear_match_dense_diagonal_blocks():
     spec = nn.mlp((4, 3, 3, 2), activation=nn.IDENTITY)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(12, 4))
-    factors = curvature.estimate_kfac_factors("gn", spec, params, x)
+    factors = estimate_factors("gn", spec, params, x)
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
     for sl, (a, s) in zip(nn.layer_slices(spec), factors):
         block = dense[sl, sl]
@@ -187,7 +193,7 @@ def test_kfac_factors_zero_inputs_and_shapes():
     rng = np.random.default_rng(11)
     spec = nn.mlp((3, 4, 2))
     params = nn.init_params(spec, rng)
-    factors = curvature.estimate_kfac_factors("gn", spec, params, np.zeros((5, 3)))
+    factors = estimate_factors("gn", spec, params, np.zeros((5, 3)))
     assert_allclose(factors[0][0], np.zeros((3, 3)))
     assert factors[0][1].shape == (4, 4)
     assert factors[1][0].shape == (4, 4)
@@ -200,7 +206,7 @@ def test_kfac_fisher_factor_concentrates_for_gaussian_model():
     spec = nn.mlp((2, 2), activation=nn.IDENTITY)
     params = nn.NetworkParams(weights=[np.eye(2)])
     x = rng.normal(size=(20000, 2))
-    [(_, s)] = curvature.estimate_kfac_factors(
+    [(_, s)] = estimate_factors(
         "fisher", spec, params, x, loss_kind=loss.SQUARED_ERROR, rng=np.random.default_rng(13)
     )
     assert_allclose(s, np.eye(2), atol=0.05)
@@ -212,9 +218,12 @@ def test_kfac_factors_validation():
     params = nn.init_params(spec, rng)
     x = np.zeros((2, 3))
     with pytest.raises(DomainError):
-        curvature.estimate_kfac_factors("hessian", spec, params, x)
+        estimate_factors("hessian", spec, params, x)
     with pytest.raises(DomainError):
-        curvature.estimate_kfac_factors("fisher", spec, params, x)  # no rng
+        estimate_factors("fisher", spec, params, x)  # no rng
+    _, eval_trace = nn.forward(spec, params, x, mode="eval")
+    with pytest.raises(ContractError):
+        curvature.estimate_kfac_factors("gn", spec, params, eval_trace)
 
 
 def test_update_factors_ema():
@@ -472,7 +481,7 @@ def test_normalized_trace_single_layer_identity_inputs_is_kron_trace():
     spec = nn.mlp((3, 2), activation=nn.IDENTITY)
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 3))])
     x = np.eye(3)
-    [(a, s)] = curvature.estimate_kfac_factors("gn", spec, params, x)
+    [(a, s)] = estimate_factors("gn", spec, params, x)
     raw = curvature.normalized_trace("gn", spec, params, x, 0) / np.sum(
         params.weights[0] ** 2
     )

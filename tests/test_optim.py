@@ -195,7 +195,7 @@ def test_kfac_scalar_example_l2_vs_weight_decay():
             loss_kind=loss.SQUARED_ERROR,
         )
         params = scalar_params(1.0)
-        new = optim.kfac_step(
+        new, _ = optim.kfac_step(
             state, spec, params, (x, t), optim.Coupling(mode, beta=0.5)
         )
         # S=[[1]] for squared error (identity output seed), A=[[2]]
@@ -214,7 +214,7 @@ def test_kfac_identity_preconditioner_reduces_to_sgd():
     )
     rng = np.random.default_rng(3)
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 2))])
-    new = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
+    new, _ = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
     # S = I too (identity seeds, linear single layer), so the step is plain SGD
     logits, trace = nn.forward(spec, params, x)
     _, dz = loss.loss_and_grad(loss.SQUARED_ERROR, logits, t)
@@ -236,7 +236,7 @@ def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
         metric="gn", eta=1e-4, lam=lam, t_stats=1, t_inv=1, factor_decay=0.0,
         damping_mode=damping, loss_kind=loss.SQUARED_ERROR,
     )
-    new = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
+    new, _ = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
 
     logits, trace = nn.forward(spec, params, x)
     _, dz = loss.loss_and_grad(loss.SQUARED_ERROR, logits, t)
@@ -263,27 +263,11 @@ def test_kfac_couplings_differ_with_anisotropic_preconditioner():
             loss_kind=loss.SQUARED_ERROR,
         )
         params = nn.NetworkParams(weights=[np.array([[1.0, 1.0]])])
-        outs[mode] = optim.kfac_step(
+        new, _ = optim.kfac_step(
             state, spec, params, (x, t), optim.Coupling(mode, beta=0.3)
-        ).weights[0]
+        )
+        outs[mode] = new.weights[0]
     assert not np.allclose(outs["l2"], outs["weight_decay"], rtol=1e-6)
-
-
-def test_kfac_alg1_literal_decay_is_not_eta_scaled():
-    spec = nn.mlp((1, 1), activation=nn.IDENTITY)
-    x = np.array([[1.0], [-1.0]])
-    t = np.array([[1.0], [-1.0]])  # with w=1, gradient = mean((x - t) x) = 0
-    common = dict(
-        metric="gn", lam=1e-12, t_stats=1, t_inv=1, factor_decay=0.0,
-        loss_kind=loss.SQUARED_ERROR,
-    )
-    lit = optim.KfacState(eta=0.1, alg1_literal=True, **common)
-    std = optim.KfacState(eta=0.1, **common)
-    c = optim.Coupling("weight_decay", beta=0.5)
-    w_lit = optim.kfac_step(lit, spec, scalar_params(1.0), (x, t), c).weights[0][0, 0]
-    w_std = optim.kfac_step(std, spec, scalar_params(1.0), (x, t), c).weights[0][0, 0]
-    assert_allclose(w_lit, 0.5, atol=1e-6)   # 1 - beta
-    assert_allclose(w_std, 0.95, atol=1e-6)  # 1 - eta*beta
 
 
 def test_kfac_refresh_cadence():
@@ -298,7 +282,7 @@ def test_kfac_refresh_cadence():
     )
     snapshots = []
     for _ in range(5):
-        params = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
+        params, _ = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
         snapshots.append([a.copy() for a in state.factors.a_factors])
     # steps 0,2,4 refresh stats; steps 1,3 keep them frozen
     assert np.array_equal(snapshots[0][0], snapshots[1][0])
@@ -306,6 +290,45 @@ def test_kfac_refresh_cadence():
     assert np.array_equal(snapshots[2][0], snapshots[3][0])
     # inverses recomputed at steps 0 and 4 only
     assert state.factors.steps_since_inversion == 1
+
+
+@pytest.mark.parametrize("metric", ["fisher", "gn"])
+def test_kfac_step_runs_one_forward(metric, monkeypatch):
+    # statistics (even steps), inversion (step 0) and plain steps alike
+    spec = nn.mlp((3, 4, 2), bn=True)
+    x = np.random.default_rng(7).normal(size=(8, 3))
+    y = np.random.default_rng(8).integers(0, 2, size=8)
+    state = optim.KfacState(metric=metric, eta=1e-2, t_stats=2, t_inv=3,
+                            rng=np.random.default_rng(9))
+    params = nn.init_params(spec, np.random.default_rng(10))
+    calls = []
+    forward = nn.forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("mode"))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting)
+    for step in range(4):
+        params, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+        assert calls == ["train"] * (step + 1)
+
+
+def test_kfac_step_fisher_factors_equal_a_direct_estimate():
+    spec = nn.mlp((3, 4, 2), bn=True)
+    x = np.random.default_rng(7).normal(size=(8, 3))
+    y = np.random.default_rng(8).integers(0, 2, size=8)
+    params = nn.init_params(spec, np.random.default_rng(10))
+    state = optim.KfacState(metric="fisher", eta=1e-2, factor_decay=0.0,
+                            rng=np.random.default_rng(11))
+    optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+    _, trace = nn.forward(spec, params, x, mode="train")
+    fresh = curvature.estimate_kfac_factors(
+        "fisher", spec, params, trace, rng=np.random.default_rng(11)
+    )
+    for l, (a, s) in enumerate(fresh):
+        assert np.array_equal(state.factors.a_factors[l], a)
+        assert np.array_equal(state.factors.s_factors[l], s)
 
 
 def test_kfac_state_validation():
@@ -334,7 +357,7 @@ def test_kfac_fisher_metric_is_seed_deterministic():
         state = optim.KfacState(metric="fisher", eta=1e-2, rng=rng, t_stats=1, t_inv=1)
         params = nn.init_params(spec, np.random.default_rng(10))
         for _ in range(3):
-            params = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+            params, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
         runs.append(nn.flatten_params(spec, params))
     assert np.array_equal(runs[0], runs[1])
 

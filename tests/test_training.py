@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import config, data, diagnostics, nn, training
+from wdlab import config, data, diagnostics, loss, nn, training
 from wdlab.errors import DomainError, TrainingDiverged
 
 
@@ -134,6 +134,27 @@ def test_kfac_run_smoke(tmp_path):
     result = training.train(cfg)
     assert np.isfinite(result.final.train_loss)
     assert len(result.records) == 3
+
+
+@pytest.mark.parametrize("kind", ["kfac_fisher", "kfac_gn"])
+def test_kfac_minibatch_pass_returns_pre_step_batch_loss(tmp_path, kind):
+    cfg = tiny_config(tmp_path, optimizer=kind, batchnorm=True)
+    spec = cfg.network_spec()
+    params = nn.init_params(spec, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(20, 6))
+    y = np.random.default_rng(2).integers(0, 3, size=20)
+    logits, _ = nn.forward(spec, params, x, mode="train")
+    expected, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    bn_state = nn.BnState.fresh(spec)
+    new, value = training._minibatch_pass(
+        spec, params, bn_state, training.make_optimizer(cfg), cfg.coupling_obj(), x, y
+    )
+    assert value == expected
+    assert not np.array_equal(new.weights[0], params.weights[0])
+    once = nn.BnState.fresh(spec)  # the step updates the running stats once
+    nn.forward(spec, params, x, mode="train", bn_state=once)
+    assert np.array_equal(bn_state.means[0], once.means[0])
+    assert np.array_equal(bn_state.variances[0], once.variances[0])
 
 
 def test_bn_run_records_traces(tmp_path):
