@@ -182,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="one-off diagnostics on a checkpoint",
         description="Recompute the metric record for a saved checkpoint "
                     "using the config.ini next to it (or --config).  "
-                    "Batch-norm nets are evaluated with batch statistics "
-                    "since checkpoints store only the weights.")
+                    "Checkpoints store only the weights, so batch-norm nets "
+                    "are evaluated with running mean 0 and variance 1, not "
+                    "the statistics the run recorded with.")
     p_diag.add_argument("checkpoint", help="path to a checkpoint file")
     p_diag.add_argument("--config", help="config INI (default: beside the checkpoint)")
     p_diag.add_argument("--seed", type=int, help="override the data seed")

@@ -90,9 +90,19 @@ class ExperimentConfig:
             raise DomainError(f"epochs must be nonnegative, got {self.epochs}")
         if self.dataset == "mnist" and not (self.mnist_images and self.mnist_labels):
             raise DomainError("mnist dataset needs images= and labels= paths")
+        if self.eta <= 0:
+            raise DomainError(f"eta must be positive, got {self.eta}")
+        if self.momentum > 0 and self.optimizer != "sgd":
+            raise DomainError(f"momentum applies to sgd only, not {self.optimizer}")
+        probe_pool = self.n_test or self.n_train  # the test split, else train
+        if self.probe_size > probe_pool:
+            raise DomainError(f"probe size {self.probe_size} exceeds its {probe_pool}-row split")
         for l in self.trace_layers:
             if not 0 <= l < len(self.layer_dims) - 1:
                 raise DomainError(f"trace layer {l} out of range for this network")
+        least = 2 if self.batchnorm else 1  # train-mode BN needs two rows
+        if self.trace_layers and not least <= self.trace_size <= self.n_train:
+            raise DomainError(f"trace size must lie in [{least}, {self.n_train}], got {self.trace_size}")
 
     def network_spec(self) -> nn.NetworkSpec:
         return nn.mlp(

@@ -11,10 +11,12 @@ Metric norms ||theta||^2_G and their block-diagonal counterparts are computed
 through per-layer quadratic forms rather than dense matrices, which keeps
 them cheap enough to log every epoch.
 
-All expectations are over the supplied batch.  Networks with batch norm are
-differentiated in train mode, through the batch statistics, with one seeded
-backward pass per example and output — that is what makes the per-layer
-curvature exactly compensate a rescaling of any normalized layer.
+All expectations are over the supplied batch.  Per-output and per-example
+backward passes run as a few stacked `nn.vjp` calls over seed stacks,
+chunked by `nn.SEED_ROWS`.  Networks with batch norm are differentiated in
+train mode, through the batch statistics, with one seed per (example,
+output) pair — that is what makes the per-layer curvature exactly
+compensate a rescaling of any normalized layer.
 """
 
 from __future__ import annotations
@@ -41,24 +43,6 @@ def _curvature_mode(spec: nn.NetworkSpec) -> str:
     return "train" if spec.has_bn else "eval"
 
 
-def _per_example_flat_grads(spec: nn.NetworkSpec, trace, result) -> np.ndarray:
-    """Per-example flattened parameter gradients from one batched backward.
-
-    Valid only when examples do not couple (no train-mode BN): the gradient of
-    example i's contribution with respect to W_l is the outer product of its
-    s-gradient row and its input row.
-    """
-    n = trace.layer_inputs[0].shape[0]
-    parts = []
-    for l in range(spec.n_layers):
-        g = result.s_grads[l]
-        a = trace.layer_inputs[l]
-        parts.append(np.einsum("no,ni->noi", g, a).reshape(n, -1))
-        if spec.use_bias:
-            parts.append(g)
-    return np.concatenate(parts, axis=1)
-
-
 def per_example_param_jacobians(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
@@ -67,32 +51,13 @@ def per_example_param_jacobians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-example output/parameter Jacobians: (logits, n x k x P).
 
-    Without BN the k output seeds are batched (k backward passes); with BN the
-    forward runs in train mode and every (example, output) pair is seeded
-    separately so the Jacobian includes each example's influence on the batch
-    statistics.
+    Without BN the forward runs in eval mode and the k output seeds share
+    one stacked backward.  With BN it runs in train mode and every
+    (example, output) pair is seeded separately, so each Jacobian includes
+    the example's influence on the batch statistics.
     """
-    if spec.n_params > cap:
-        raise CapacityError(f"{spec.n_params} parameters exceed the cap of {cap}")
-    xm = np.asarray(x, dtype=np.float64)
-    mode = _curvature_mode(spec)
-    logits, trace = nn.forward(spec, params, xm, mode=mode)
-    n, k = logits.shape
-    jac = np.zeros((n, k, spec.n_params))
-    if spec.has_bn:
-        for i in range(n):
-            for c in range(k):
-                seed = np.zeros((n, k))
-                seed[i, c] = 1.0
-                jac[i, c] = nn.flatten_grads(spec, nn.backward(spec, params, trace, seed))
-    else:
-        seed = np.zeros((n, k))
-        for c in range(k):
-            seed[:] = 0.0
-            seed[:, c] = 1.0
-            result = nn.backward(spec, params, trace, seed)
-            jac[:, c, :] = _per_example_flat_grads(spec, trace, result)
-    return logits, jac
+    logits, trace = nn.forward(spec, params, x, mode=_curvature_mode(spec))
+    return logits, nn.param_jacobian(spec, params, trace, cap=cap)
 
 
 def dense_curvature(
@@ -208,8 +173,8 @@ def estimate_kfac_factors(
 
     A_l is the second moment of the layer inputs.  S_l under the "fisher"
     metric is the second moment of back-propagated loss gradients at
-    model-sampled targets (per example, no 1/n); under "gn" it sums k
-    output-seeded backward passes.  BN networks use the ordinary batched
+    model-sampled targets (per example, no 1/n); under "gn" it sums over the
+    k output seeds of a stacked backward.  BN networks use the ordinary batched
     backward here — these are running-statistic estimates, not oracles.
     """
     if metric not in ("fisher", "gn"):
@@ -224,14 +189,13 @@ def estimate_kfac_factors(
     s_sums = [np.zeros((spec.layer_dims[l + 1], spec.layer_dims[l + 1])) for l in range(spec.n_layers)]
 
     if metric == "gn":
-        seed = np.zeros((n, k))
-        for c in range(k):
-            seed[:] = 0.0
-            seed[:, c] = 1.0
-            result = nn.backward(spec, params, trace, seed)
-            for l in range(spec.n_layers):
-                g = result.s_grads[l]
-                s_sums[l] += g.T @ g
+        seeds = nn.output_seeds(n, k)
+        for chunk in nn.seed_chunks(k, n):
+            s_grads, _ = nn.vjp(spec, params, trace, seeds[chunk])
+            for j in range(chunk.stop - chunk.start):
+                for l in range(spec.n_layers):
+                    g = s_grads[l][j]
+                    s_sums[l] += g.T @ g
     else:
         if loss_kind == loss.CROSS_ENTROPY:
             probs = loss.softmax(logits)
@@ -241,10 +205,9 @@ def estimate_kfac_factors(
             seed = rng.normal(size=(n, k))
         else:
             raise DomainError(f"unknown loss kind {loss_kind!r}")
-        result = nn.backward(spec, params, trace, seed)
+        s_grads, _ = nn.vjp(spec, params, trace, seed)
         for l in range(spec.n_layers):
-            g = result.s_grads[l]
-            s_sums[l] += g.T @ g
+            s_sums[l] += s_grads[l].T @ s_grads[l]
 
     return [(a.T @ a / n, s / n) for a, s in zip(a_list, s_sums)]
 
@@ -335,21 +298,21 @@ def kfac_gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float:
     """sum_l theta_l^T G_ll theta_l via exact per-layer quadratic forms.
 
     Each layer's quadratic form reduces to <dL/ds_l, s_l>^2 because s_l is
-    linear in that layer's own parameters; k seeded backward passes cover the
-    outputs (eval-mode BN, so examples stay uncoupled).
+    linear in that layer's own parameters; one stacked backward of the k
+    output seeds covers the outputs (eval-mode BN, so examples stay
+    uncoupled).
     """
     xm = np.asarray(x, dtype=np.float64)
     logits, trace = nn.forward(spec, params, xm, mode="eval")
     n, k = logits.shape
     total = 0.0
-    seed = np.zeros((n, k))
-    for c in range(k):
-        seed[:] = 0.0
-        seed[:, c] = 1.0
-        result = nn.backward(spec, params, trace, seed)
-        for l in range(spec.n_layers):
-            dots = np.sum(result.s_grads[l] * trace.pre_activations[l], axis=1)
-            total += float(np.sum(dots * dots))
+    seeds = nn.output_seeds(n, k)
+    for chunk in nn.seed_chunks(k, n):
+        s_grads, _ = nn.vjp(spec, params, trace, seeds[chunk])
+        dots = [np.sum(g * s, axis=-1) for g, s in zip(s_grads, trace.pre_activations)]
+        for j in range(chunk.stop - chunk.start):
+            for d in dots:
+                total += float(np.sum(d[j] * d[j]))
     return total / n
 
 
@@ -383,8 +346,8 @@ def normalized_trace(
     the trace at theta_l / ||theta_l|| by the inverse-square scaling of
     curvature under layer rescaling — no re-evaluation at rescaled weights.
     "fisher" sums classes exactly (cross-entropy); "gn" seeds each output.
-    BN networks are differentiated in train mode per example, so the result
-    is invariant to rescaling a normalized layer.
+    BN networks are differentiated in train mode with one seed per (example,
+    output) pair, so the result is invariant to rescaling a normalized layer.
     """
     if kind not in ("fisher", "gn"):
         raise DomainError(f"kind must be 'fisher' or 'gn', got {kind!r}")
@@ -409,35 +372,25 @@ def normalized_trace(
     eye = np.eye(k)
 
     trace_raw = 0.0
+    a = trace.layer_inputs[layer]
     if spec.has_bn:
-        for i in range(n):
-            for c in range(k):
-                seed = np.zeros((n, k))
-                if kind == "gn":
-                    seed[i, c] = 1.0
-                    weight = 1.0
-                else:
-                    seed[i] = eye[c] - probs[i]
-                    weight = float(probs[i, c])
-                result = nn.backward(spec, params, trace, seed)
-                ssq = float(np.sum(result.weight_grads[layer] ** 2))
-                if spec.use_bias:
-                    ssq += float(np.sum(result.bias_grads[layer] ** 2))
-                trace_raw += weight * ssq
-        trace_raw /= n
+        # ||ds^T a||_F^2 = sum((ds ds^T) * (a a^T)), and the bias column adds
+        # ||sum of ds rows||^2, so no per-seed weight gradient is formed
+        gram = a @ a.T + (1.0 if spec.use_bias else 0.0)
+        blocks = np.broadcast_to(eye, (n, k, k)) if kind == "gn" else eye - probs[:, None, :]
+        for ex in nn.seed_chunks(n, k * n):
+            s_grads, _ = nn.vjp(spec, params, trace, nn.example_seeds(blocks, ex), lowest=layer)
+            ds = s_grads[layer]
+            ssq = np.sum((ds @ ds.transpose(0, 2, 1)) * gram, axis=(1, 2))
+            weights = 1.0 if kind == "gn" else probs[ex].ravel()
+            trace_raw += float(np.sum(weights * ssq))
     else:
-        a = trace.layer_inputs[layer]
         a_sq = np.sum(a * a, axis=1) + (1.0 if spec.use_bias else 0.0)
-        for c in range(k):
-            if kind == "gn":
-                seed = np.zeros((n, k))
-                seed[:, c] = 1.0
-                weights = np.ones(n)
-            else:
-                seed = eye[c][None, :] - probs
-                weights = probs[:, c]
-            result = nn.backward(spec, params, trace, seed)
-            g_sq = np.sum(result.s_grads[layer] ** 2, axis=1)
-            trace_raw += float(np.sum(weights * g_sq * a_sq))
-        trace_raw /= n
-    return norm_sq * trace_raw
+        seeds = nn.output_seeds(n, k) if kind == "gn" else eye[:, None, :] - probs
+        for chunk in nn.seed_chunks(k, n):
+            s_grads, _ = nn.vjp(spec, params, trace, seeds[chunk], lowest=layer)
+            g_sq = np.sum(s_grads[layer] ** 2, axis=-1)
+            for j, c in enumerate(range(chunk.start, chunk.stop)):
+                weights = np.ones(n) if kind == "gn" else probs[:, c]
+                trace_raw += float(np.sum(weights * g_sq[j] * a_sq))
+    return norm_sq * (trace_raw / n)

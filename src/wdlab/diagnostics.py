@@ -37,15 +37,16 @@ def jacobian_frob_norm(
     bn_state: nn.BnState | None = None,
 ) -> float:
     """Mean over examples of the squared Frobenius norm of d logits / d input
-    (eval-mode BN)."""
+    (eval-mode BN), from stacked output seeds over blocks of rows."""
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim == 1:
         xm = xm[None, :]
     if xm.shape[0] == 0:
         raise DegenerateError("need at least one evaluation example")
     total = 0.0
-    for row in xm:
-        jac = nn.input_jacobian(spec, params, row, bn_state=bn_state)
+    for rows in nn.seed_chunks(xm.shape[0], spec.output_dim):
+        _, trace = nn.forward(spec, params, xm[rows], mode="eval", bn_state=bn_state)
+        jac = nn.input_jacobian(spec, params, trace)
         total += float(np.sum(jac * jac))
     return total / xm.shape[0]
 

@@ -4,7 +4,9 @@ Fully-connected layers with ReLU or identity activation, optional batch
 normalization on hidden pre-activations (never on the output layer), and an
 optional bias term.  The forward pass captures every intermediate needed by
 backprop and Kronecker-factor estimation; backward differentiates exactly,
-including the batch statistics' dependence on the weights.
+including the batch statistics' dependence on the weights.  `vjp` propagates
+a whole stack of seeds in one pass, which is how every per-output and
+per-example quantity (Jacobians, curvature probes) is computed.
 
 Conventions fixed here and relied on everywhere else:
   * weight matrices are out x in; s_l = a_l @ W_l.T (+ b_l),
@@ -21,10 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DataFormatError, DegenerateError, DomainError, ShapeError
+from .errors import CapacityError, ContractError, DataFormatError, DegenerateError, DomainError, ShapeError
 
 RELU = "relu"
 IDENTITY = "identity"
+
+BN_EPSILON = 1e-8  # added to the batch variance; BN has no affine parameters
+
+# The most (seed, example) rows one stacked backward carries, which bounds its
+# temporaries; a desk-net BN trace (32 rows, 10 classes) runs one example at a time.
+SEED_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -122,21 +130,6 @@ def mlp(dims, activation: str = RELU, bn: bool = False, bias: bool = False) -> N
     )
 
 
-@dataclass(frozen=True)
-class BatchNormConfig:
-    """BN hyperparameters; the affine pair is frozen at (1, 0) and untrainable."""
-
-    epsilon: float = 1e-8
-    gamma: float = 1.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if self.gamma != 1.0 or self.beta != 0.0:
-            raise DomainError("gamma and beta are fixed at 1 and 0")
-
-
 @dataclass
 class NetworkParams:
     """Per-layer weight matrices (out x in) and optional bias vectors."""
@@ -200,13 +193,11 @@ class ForwardTrace:
 @dataclass
 class BackwardResult:
     """Gradients of the scalar seeded at the logits: per-layer weight (and
-    bias) gradients, per-example pre-activation gradients, and the input
-    gradient."""
+    bias) gradients and per-example pre-activation gradients."""
 
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray] | None
     s_grads: list[np.ndarray]
-    x_grads: np.ndarray
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkParams:
@@ -245,7 +236,6 @@ def forward(
     params: NetworkParams,
     x,
     mode: str = "train",
-    bn_config: BatchNormConfig | None = None,
     bn_state: BnState | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the network on a batch (n x d) and capture the full trace.
@@ -257,7 +247,6 @@ def forward(
     if mode not in ("train", "eval"):
         raise DomainError(f"mode must be 'train' or 'eval', got {mode!r}")
     check_params(spec, params)
-    cfg = bn_config or BatchNormConfig()
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
@@ -294,7 +283,7 @@ def forward(
                 state = bn_state or BnState.fresh(spec)
                 mean = state.means[l]
                 var = state.variances[l]
-            std = np.sqrt(var + cfg.epsilon)
+            std = np.sqrt(var + BN_EPSILON)
             z = (s - mean) / std
             trace.bn_means.append(mean)
             trace.bn_stds.append(std)
@@ -308,40 +297,34 @@ def forward(
     raise AssertionError("unreachable")
 
 
-def backward(
+def vjp(
     spec: NetworkSpec,
     params: NetworkParams,
     trace: ForwardTrace,
-    dl_dlogits,
-) -> BackwardResult:
-    """Backpropagate a logit-space gradient through a traced forward pass.
+    seeds,
+    lowest: int = 0,
+    inputs: bool = False,
+) -> tuple[list[np.ndarray | None], np.ndarray | None]:
+    """Backpropagate one seed (n x k) or a stack of seeds (m x n x k), each
+    on its own, through a traced forward pass: (s_grads, x_grads).
 
-    In train mode the BN backward includes the batch statistics' dependence
-    on the pre-activations; in eval mode the statistics are constants.
+    s_grads[l] = dL/ds_l for the layers from `lowest` up (None below, so
+    lower layers cost nothing); x_grads = dL/dX when `inputs` is set.  In
+    train mode the BN backward includes the batch statistics' dependence on
+    the pre-activations; in eval mode the statistics are constants.
     """
-    g = np.asarray(dl_dlogits, dtype=np.float64)
-    if g.shape != trace.logits.shape:
-        raise ShapeError(f"seed shape {g.shape} != logits shape {trace.logits.shape}")
-    n_layers = spec.n_layers
-    weight_grads: list[np.ndarray | None] = [None] * n_layers
-    bias_grads: list[np.ndarray | None] | None = [None] * n_layers if spec.use_bias else None
-    s_grads: list[np.ndarray | None] = [None] * n_layers
-
+    g = np.asarray(seeds, dtype=np.float64)
+    if g.ndim not in (2, 3) or g.shape[-2:] != trace.logits.shape:
+        raise ShapeError(f"seed shape {g.shape} is not logits {trace.logits.shape} or a stack of them")
+    if not 0 <= lowest < spec.n_layers:
+        raise ShapeError(f"no layer {lowest} in a {spec.n_layers}-layer network")
+    if inputs and lowest:
+        raise ContractError("the input gradient needs every layer's backward (lowest=0)")
+    s_grads: list[np.ndarray | None] = [None] * spec.n_layers
     ds = g  # dL/ds for the current layer, starting at the output
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(spec.n_layers - 1, lowest, -1):
         s_grads[l] = ds
-        weight_grads[l] = ds.T @ trace.layer_inputs[l]
-        if bias_grads is not None:
-            bias_grads[l] = ds.sum(axis=0)
-        da = ds @ params.weights[l]
-        if l == 0:
-            return BackwardResult(
-                weight_grads=weight_grads,  # type: ignore[arg-type]
-                bias_grads=bias_grads,  # type: ignore[arg-type]
-                s_grads=s_grads,  # type: ignore[arg-type]
-                x_grads=da,
-            )
-        # da is dL/da_l = dL/(post-activation of hidden layer l-1)
+        da = ds @ params.weights[l]  # dL/(post-activation of hidden layer l-1)
         h = l - 1
         if spec.activation == RELU:
             z_in = trace.bn_normalized[h] if spec.bn_at(h) else trace.pre_activations[h]
@@ -352,32 +335,67 @@ def backward(
             std = trace.bn_stds[h]
             if trace.mode == "train":
                 z = trace.bn_normalized[h]
-                ds = (dz - dz.mean(axis=0) - z * (dz * z).mean(axis=0)) / std
+                ds = (dz - dz.mean(axis=-2, keepdims=True)
+                      - z * (dz * z).mean(axis=-2, keepdims=True)) / std
             else:
                 ds = dz / std
         else:
             ds = dz
-    raise AssertionError("unreachable")
+    s_grads[lowest] = ds
+    return s_grads, (ds @ params.weights[0] if inputs else None)
 
 
-def input_jacobian(
+def backward(
     spec: NetworkSpec,
     params: NetworkParams,
-    x,
-    bn_config: BatchNormConfig | None = None,
-    bn_state: BnState | None = None,
-) -> np.ndarray:
-    """Exact k x d Jacobian of the logits with respect to a single input,
-    via one seeded backward pass per output (eval-mode BN)."""
-    xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    _, trace = forward(spec, params, xv, mode="eval", bn_config=bn_config, bn_state=bn_state)
-    k = spec.output_dim
-    jac = np.zeros((k, spec.input_dim))
-    for c in range(k):
-        seed = np.zeros((1, k))
-        seed[0, c] = 1.0
-        jac[c] = backward(spec, params, trace, seed).x_grads[0]
-    return jac
+    trace: ForwardTrace,
+    dl_dlogits,
+) -> BackwardResult:
+    """Weight, bias and pre-activation gradients of the scalar whose logit
+    gradient is `dl_dlogits` (n x k)."""
+    g = np.asarray(dl_dlogits, dtype=np.float64)
+    if g.shape != trace.logits.shape:
+        raise ShapeError(f"seed shape {g.shape} != logits shape {trace.logits.shape}")
+    s_grads, _ = vjp(spec, params, trace, g)
+    return BackwardResult(
+        weight_grads=[ds.T @ a for ds, a in zip(s_grads, trace.layer_inputs)],
+        bias_grads=[ds.sum(axis=0) for ds in s_grads] if spec.use_bias else None,
+        s_grads=s_grads,
+    )
+
+
+def seed_chunks(count: int, rows_each: int) -> list[slice]:
+    """Slices of range(count) whose items, each adding `rows_each` (seed,
+    example) rows to a stacked backward, stay within SEED_ROWS together
+    (one item at least)."""
+    step = max(1, SEED_ROWS // rows_each)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def output_seeds(n: int, k: int) -> np.ndarray:
+    """k x n x k stack whose seed c selects output c of every example."""
+    return np.repeat(np.eye(k)[:, None, :], n, axis=1)
+
+
+def example_seeds(blocks: np.ndarray, examples: slice) -> np.ndarray:
+    """Per-example seeds, m*k x n x k for the m examples of `examples`:
+    seed (i, c) is zero except on example i's row, which is blocks[i][c]
+    (blocks is n x k x k)."""
+    n, k, _ = blocks.shape
+    idx = np.arange(examples.start, examples.stop)
+    seeds = np.zeros((idx.size, k, n, k))
+    seeds[np.arange(idx.size), :, idx, :] = blocks[idx]
+    return seeds.reshape(-1, n, k)
+
+
+def input_jacobian(spec: NetworkSpec, params: NetworkParams, trace: ForwardTrace) -> np.ndarray:
+    """Exact n x k x d Jacobians of each example's logits with respect to
+    its input, from one stacked backward of the k output seeds.  The
+    examples must not couple: eval-mode trace, or a net without BN."""
+    if trace.mode == "train" and spec.has_bn:
+        raise ContractError("per-example input Jacobians need an eval-mode trace under BN")
+    _, x_grads = vjp(spec, params, trace, output_seeds(*trace.logits.shape), inputs=True)
+    return x_grads.transpose(1, 0, 2)
 
 
 def flatten_params(spec: NetworkSpec, params: NetworkParams) -> np.ndarray:
@@ -406,15 +424,6 @@ def unflatten_params(spec: NetworkSpec, theta: np.ndarray) -> NetworkParams:
     return NetworkParams(weights=weights, biases=biases)
 
 
-def flatten_grads(spec: NetworkSpec, result: BackwardResult) -> np.ndarray:
-    parts = []
-    for l in range(spec.n_layers):
-        parts.append(result.weight_grads[l].ravel())
-        if spec.use_bias:
-            parts.append(result.bias_grads[l])
-    return np.concatenate(parts)
-
-
 def layer_slices(spec: NetworkSpec) -> list[slice]:
     """Slice of the canonical flattening owned by each layer."""
     slices = []
@@ -430,24 +439,38 @@ def layer_slices(spec: NetworkSpec) -> list[slice]:
 def param_jacobian(
     spec: NetworkSpec,
     params: NetworkParams,
-    x,
+    trace: ForwardTrace,
     cap: int = 20000,
-    bn_config: BatchNormConfig | None = None,
-    bn_state: BnState | None = None,
 ) -> np.ndarray:
-    """Exact k x P Jacobian of the logits with respect to the canonical
-    parameter flattening, for a single input (eval-mode BN)."""
+    """Exact n x k x P Jacobians of each example's logits with respect to
+    the canonical parameter flattening.
+
+    Uncoupled examples share one stacked backward of the k output seeds.  A
+    train-mode BN trace couples them through the batch statistics, so there
+    every (example, output) pair gets its own seed, in SEED_ROWS chunks.
+    """
     if spec.n_params > cap:
         raise CapacityError(f"{spec.n_params} parameters exceed the cap of {cap}")
-    xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    _, trace = forward(spec, params, xv, mode="eval", bn_config=bn_config, bn_state=bn_state)
-    k = spec.output_dim
-    jac = np.zeros((k, spec.n_params))
-    for c in range(k):
-        seed = np.zeros((1, k))
-        seed[0, c] = 1.0
-        jac[c] = flatten_grads(spec, backward(spec, params, trace, seed))
-    return jac
+    n, k = trace.logits.shape
+    if trace.mode == "eval" or not spec.has_bn:
+        s_grads, _ = vjp(spec, params, trace, output_seeds(n, k))
+        parts = []
+        for g, a in zip(s_grads, trace.layer_inputs):
+            parts.append(np.einsum("cno,ni->ncoi", g, a).reshape(n, k, -1))
+            if spec.use_bias:
+                parts.append(g.transpose(1, 0, 2))
+        return np.concatenate(parts, axis=2)
+    blocks = np.broadcast_to(np.eye(k), (n, k, k))
+    jac = np.empty((n * k, spec.n_params))
+    for ex in seed_chunks(n, k * n):
+        s_grads, _ = vjp(spec, params, trace, example_seeds(blocks, ex))
+        parts = []
+        for g, a in zip(s_grads, trace.layer_inputs):
+            parts.append((g.transpose(0, 2, 1) @ a).reshape(g.shape[0], -1))
+            if spec.use_bias:
+                parts.append(g.sum(axis=1))
+        jac[ex.start * k : ex.stop * k] = np.concatenate(parts, axis=1)
+    return jac.reshape(n, k, -1)
 
 
 def scale_layer(params: NetworkParams, layer: int, alpha: float) -> NetworkParams:

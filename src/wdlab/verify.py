@@ -100,16 +100,16 @@ def check_homogeneity(trials: int = 100, seed: int = 0) -> CheckReport:
             x = rng.normal(size=(2, spec.input_dim))
         else:
             spec, params, x = _generic_relu_net(rng, dims, 2)
-        logits, _ = nn.forward(spec, params, x, mode="eval")
+        logits, trace = nn.forward(spec, params, x, mode="eval")
         if np.linalg.norm(logits) < 1e-9:
             continue
         theta = nn.flatten_params(spec, params)
         depth_plus_one = spec.n_layers
+        jx = nn.input_jacobian(spec, params, trace)
+        jt = nn.param_jacobian(spec, params, trace)
         for i, row in enumerate(x):
-            jx = nn.input_jacobian(spec, params, row)
-            worst = max(worst, _rel(jx @ row, logits[i]))
-            jt = nn.param_jacobian(spec, params, row)
-            worst = max(worst, _rel(jt @ theta / depth_plus_one, logits[i]))
+            worst = max(worst, _rel(jx[i] @ row, logits[i]))
+            worst = max(worst, _rel(jt[i] @ theta / depth_plus_one, logits[i]))
     return _report("homogeneity_identities", trials, worst, 1e-9, seed)
 
 

@@ -30,6 +30,16 @@ def central_diff_jacobian(f, x, h=1e-6):
     return jac
 
 
+def flatten_grads(spec, result):
+    """A backward result's gradients in the canonical parameter flattening."""
+    parts = []
+    for l in range(spec.n_layers):
+        parts.append(result.weight_grads[l].ravel())
+        if spec.use_bias:
+            parts.append(result.bias_grads[l])
+    return np.concatenate(parts)
+
+
 def random_net(rng, dims=(4, 5, 3), activation=nn.RELU, bn=False, bias=False):
     spec = nn.mlp(dims, activation=activation, bn=bn, bias=bias)
     params = nn.init_params(spec, rng)

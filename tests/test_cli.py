@@ -70,6 +70,22 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("override, message", [
+    ("optimizer.eta=0", "eta"),
+    ("optimizer.momentum=0.9", "momentum"),
+    ("diagnostics.probe=31", "probe size"),
+    ("diagnostics.trace=1", "trace size"),
+])
+def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, override, message):
+    out_dir = tmp_path / "run"
+    ini = write_ini(tmp_path, tiny_config(out_dir, optimizer="adam", batchnorm=True,
+                                          trace_layers=(0,), trace_size=4))
+    code = cli.main(["train", "--config", str(ini), "--set", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_grid_command_picks_and_retrains(tmp_path, capsys):
     ini = write_ini(tmp_path, tiny_config(tmp_path / "grid", epochs=1))
     code = cli.main(["grid", "--config", str(ini), "--etas", "0.1",

@@ -47,6 +47,32 @@ def test_validation_rejects_bad_fields():
         config.ExperimentConfig(damping="isotropic")
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(eta=0.0), "eta"),
+    (dict(eta=-0.1), "eta"),
+    (dict(optimizer="adam", momentum=0.9), "momentum"),
+    (dict(optimizer="kfac_gn", momentum=0.5), "momentum"),
+    (dict(n_test=100, probe_size=101), "probe size 101 exceeds its 100-row split"),
+    (dict(n_train=150, n_test=0, batch_size=50, probe_size=151), "its 150-row split"),
+    (dict(n_train=150, batch_size=50, trace_layers=(0,), trace_size=151), "trace size"),
+    (dict(batchnorm=True, trace_layers=(0,), trace_size=1), "trace size"),
+    (dict(trace_layers=(1,), trace_size=0), "trace size"),
+])
+def test_validation_rejects_inconsistent_run_settings(fields, message):
+    with pytest.raises(DomainError, match=message):
+        config.ExperimentConfig(**fields)
+
+
+def test_validation_accepts_the_boundary_cases():
+    config.ExperimentConfig(optimizer="sgd", momentum=0.9)
+    config.ExperimentConfig(n_test=100, probe_size=100)
+    config.ExperimentConfig(n_train=150, n_test=0, batch_size=50, probe_size=150)
+    config.ExperimentConfig(batchnorm=True, trace_layers=(0,), trace_size=2)
+    config.ExperimentConfig(trace_layers=(0,), trace_size=1)
+    # sizes of probes that are switched off are not checked
+    config.ExperimentConfig(n_train=150, batch_size=50, trace_size=1000)
+
+
 INI = """
 [data]
 dataset = synthetic

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_diff_grad, central_diff_jacobian
+from helpers import central_diff_grad, central_diff_jacobian, flatten_grads
 from wdlab import nn
 from wdlab.errors import (
     CapacityError,
+    ContractError,
     DataFormatError,
     DegenerateError,
     DomainError,
@@ -163,7 +164,7 @@ def test_backward_matches_finite_differences(activation, bias):
     result = nn.backward(spec, params, trace, seed)
     theta = nn.flatten_params(spec, params)
     fd = central_diff_grad(seeded_scalar_loss(spec, x, seed), theta)
-    assert_allclose(nn.flatten_grads(spec, result), fd, atol=2e-8, rtol=1e-6)
+    assert_allclose(flatten_grads(spec, result), fd, atol=2e-8, rtol=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -186,7 +187,7 @@ def test_backward_through_batchnorm_matches_finite_differences(mode):
         seeded_scalar_loss(spec, x, seed, mode=mode, bn_state=None if mode == "train" else state),
         theta,
     )
-    assert_allclose(nn.flatten_grads(spec, result), fd, atol=5e-8, rtol=1e-5)
+    assert_allclose(flatten_grads(spec, result), fd, atol=5e-8, rtol=1e-5)
 
 
 def test_backward_input_gradient_matches_finite_differences():
@@ -196,13 +197,13 @@ def test_backward_input_gradient_matches_finite_differences():
     x = rng.normal(size=(4, 5))
     seed = rng.normal(size=(4, 3))
     _, trace = nn.forward(spec, params, x)
-    result = nn.backward(spec, params, trace, seed)
+    _, x_grads = nn.vjp(spec, params, trace, seed, inputs=True)
 
     def f(flat):
         logits, _ = nn.forward(spec, params, flat.reshape(4, 5))
         return float(np.sum(seed * logits))
 
-    assert_allclose(result.x_grads.ravel(), central_diff_grad(f, x.ravel()), atol=1e-8)
+    assert_allclose(x_grads.ravel(), central_diff_grad(f, x.ravel()), atol=1e-8)
 
 
 def test_backward_s_grads_chain_rule_identity():
@@ -234,52 +235,84 @@ def test_input_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     spec = nn.mlp((5, 8, 4), activation=nn.RELU)
     params = nn.init_params(spec, rng)
-    x = rng.normal(size=5)
-    _, trace = nn.forward(spec, params, x[None, :], mode="eval")
+    x = rng.normal(size=(3, 5))
+    _, trace = nn.forward(spec, params, x, mode="eval")
     assert relu_margin(spec, trace) > 1e-3
-    jac = nn.input_jacobian(spec, params, x)
-    fd = central_diff_jacobian(
-        lambda v: nn.forward(spec, params, v[None, :], mode="eval")[0][0], x
-    )
-    assert jac.shape == (4, 5)
-    assert_allclose(jac, fd, atol=1e-8)
+    jac = nn.input_jacobian(spec, params, trace)
+    assert jac.shape == (3, 4, 5)
+    for i, row in enumerate(x):
+        fd = central_diff_jacobian(
+            lambda v: nn.forward(spec, params, v[None, :], mode="eval")[0][0], row
+        )
+        assert_allclose(jac[i], fd, atol=1e-8)
 
 
 def test_input_jacobian_identity_net_is_weight_product():
     rng = np.random.default_rng(12)
     spec = nn.mlp((4, 6, 3), activation=nn.IDENTITY)
     params = nn.init_params(spec, rng)
-    jac = nn.input_jacobian(spec, params, rng.normal(size=4))
-    assert_allclose(jac, params.weights[1] @ params.weights[0], rtol=1e-12)
+    _, trace = nn.forward(spec, params, rng.normal(size=(2, 4)), mode="eval")
+    jac = nn.input_jacobian(spec, params, trace)
+    for row in jac:
+        assert_allclose(row, params.weights[1] @ params.weights[0], rtol=1e-12)
+
+
+def test_input_jacobian_rejects_coupled_train_mode_bn():
+    rng = np.random.default_rng(12)
+    spec = nn.mlp((4, 6, 3), bn=True)
+    params = nn.init_params(spec, rng)
+    _, trace = nn.forward(spec, params, rng.normal(size=(5, 4)), mode="train")
+    with pytest.raises(ContractError):
+        nn.input_jacobian(spec, params, trace)
 
 
 def test_param_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
     spec = nn.NetworkSpec((3, 5, 4, 2), use_bn=(True, False), use_bias=False)
     params = nn.init_params(spec, rng)
-    x = rng.normal(size=3) * 2
-    _, trace = nn.forward(spec, params, x[None, :], mode="eval")
+    x = rng.normal(size=(3, 3)) * 2
+    _, trace = nn.forward(spec, params, x, mode="eval")
     assert relu_margin(spec, trace) > 1e-3
-    jac = nn.param_jacobian(spec, params, x)
+    jac = nn.param_jacobian(spec, params, trace)
+    theta = nn.flatten_params(spec, params)
+    assert jac.shape == (3, 2, spec.n_params)
+    for i, row in enumerate(x):
+
+        def f(t, row=row):
+            p = nn.unflatten_params(spec, t)
+            return nn.forward(spec, p, row[None, :], mode="eval")[0][0]
+
+        assert_allclose(jac[i], central_diff_jacobian(f, theta), atol=3e-8)
+
+
+def test_param_jacobian_through_train_mode_bn_matches_finite_differences():
+    # each (example, output) row includes the example's effect on the batch
+    # statistics; with biases the trailing bias blocks are checked too
+    rng = np.random.default_rng(14)
+    spec = nn.NetworkSpec((3, 5, 4, 2), use_bn=(True, True), use_bias=True)
+    params = nn.init_params(spec, rng)
+    x = rng.normal(size=(4, 3)) * 2
+    _, trace = nn.forward(spec, params, x, mode="train")
+    assert relu_margin(spec, trace) > 1e-3
+    jac = nn.param_jacobian(spec, params, trace)
     theta = nn.flatten_params(spec, params)
 
     def f(t):
-        p = nn.unflatten_params(spec, t)
-        return nn.forward(spec, p, x[None, :], mode="eval")[0][0]
+        return nn.forward(spec, nn.unflatten_params(spec, t), x, mode="train")[0].ravel()
 
-    assert jac.shape == (2, spec.n_params)
-    assert_allclose(jac, central_diff_jacobian(f, theta), atol=3e-8)
+    assert_allclose(jac.reshape(8, -1), central_diff_jacobian(f, theta), atol=3e-8)
 
 
 def test_param_jacobian_respects_capacity_cap():
     rng = np.random.default_rng(14)
     spec = nn.mlp((100, 250, 10))
     params = nn.init_params(spec, rng)
+    _, trace = nn.forward(spec, params, np.zeros((1, 100)), mode="eval")
     with pytest.raises(CapacityError):
-        nn.param_jacobian(spec, params, np.zeros(100))
+        nn.param_jacobian(spec, params, trace)
     # and a custom cap lets it through
-    jac = nn.param_jacobian(spec, params, np.zeros(100), cap=30000)
-    assert jac.shape == (10, spec.n_params)
+    jac = nn.param_jacobian(spec, params, trace, cap=30000)
+    assert jac.shape == (1, 10, spec.n_params)
 
 
 # --- parameter vector plumbing ----------------------------------------------

@@ -67,14 +67,14 @@ def test_run_all_derives_distinct_check_seeds():
 
 
 def test_corrupted_backward_fails_homogeneity_check(monkeypatch):
-    true_backward = nn.backward
+    true_vjp = nn.vjp
 
-    def corrupted(spec, params, trace, dl_dlogits, **kw):
-        result = true_backward(spec, params, trace, dl_dlogits, **kw)
-        result.weight_grads[0] = result.weight_grads[0] * 1.001
-        return result
+    def corrupted(spec, params, trace, seeds, **kw):
+        s_grads, x_grads = true_vjp(spec, params, trace, seeds, **kw)
+        s_grads[0] = s_grads[0] * 1.001
+        return s_grads, x_grads
 
-    monkeypatch.setattr(nn, "backward", corrupted)
+    monkeypatch.setattr(nn, "vjp", corrupted)
     report = verify.check_homogeneity(trials=5, seed=0)
     assert not report.passed
 
