@@ -127,6 +127,20 @@ def dense_curvature(
 # --- Kronecker factors ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FactorSpectrum:
+    """One layer's factor spectrum at an inversion: the eigenvalue extremes
+    of A and S, the damping relative to the mean eigenvalue of S (x) A, and
+    the steps the previous inverse was in use (0 at the first inversion)."""
+
+    a_eig_min: float
+    a_eig_max: float
+    s_eig_min: float
+    s_eig_max: float
+    damping_ratio: float
+    steps_since_last_inversion: int
+
+
 @dataclass
 class KfacFactors:
     """Per-layer Kronecker factors with their (possibly stale) inverses.
@@ -137,11 +151,14 @@ class KfacFactors:
     time and deliberately stale until the next inversion, holds
     ((S + sqrt(lam) I)^-1, (A + sqrt(lam) I)^-1, None) under factored damping
     and (Q_S, Q_A, mu_S mu_A^T + lam) from the eigenpairs under dense damping.
+    spectra[l], from the same eigendecomposition, is the layer's
+    FactorSpectrum at the last inversion.
     """
 
     a_factors: list[np.ndarray]
     s_factors: list[np.ndarray]
     inverses: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] | None = None
+    spectra: list[FactorSpectrum] | None = None
     steps_since_inversion: int = 0
 
     @staticmethod
@@ -238,13 +255,14 @@ def update_factors_ema(
 
 
 def invert_factors(state: KfacFactors, lam: float, damping: str = "factored") -> KfacFactors:
-    """Compute and store every layer's damped inverse for preconditioning."""
+    """Compute and store every layer's damped inverse for preconditioning,
+    and its factor spectrum from the same eigendecomposition."""
     if lam <= 0.0:
         raise DomainError(f"damping must be positive, got {lam}")
     if damping not in DAMPING_MODES:
         raise DomainError(f"unknown damping mode {damping!r}; choose from {DAMPING_MODES}")
     root = np.sqrt(lam)
-    inverses = []
+    inverses, spectra = [], []
     for a, s in zip(state.a_factors, state.s_factors):
         ea, es = linalg.sym_eig(a), linalg.sym_eig(s)
         qa, qs = ea.eigenvectors, es.eigenvectors
@@ -253,31 +271,64 @@ def invert_factors(state: KfacFactors, lam: float, damping: str = "factored") ->
                              (qa / (ea.eigenvalues + root)) @ qa.T, None))
         else:
             inverses.append((qs, qa, np.outer(es.eigenvalues, ea.eigenvalues) + lam))
+        # the eigenvalues of S (x) A are all products mu_S mu_A, so their
+        # mean is the product of the factors' means
+        mean_sa = float(np.mean(ea.eigenvalues)) * float(np.mean(es.eigenvalues))
+        spectra.append(FactorSpectrum(
+            a_eig_min=float(ea.eigenvalues[0]), a_eig_max=float(ea.eigenvalues[-1]),
+            s_eig_min=float(es.eigenvalues[0]), s_eig_max=float(es.eigenvalues[-1]),
+            damping_ratio=lam / mean_sa if mean_sa > 0.0 else float("inf"),
+            steps_since_last_inversion=state.steps_since_inversion,
+        ))
     state.inverses = inverses
+    state.spectra = spectra
     state.steps_since_inversion = 0
     return state
 
 
-def apply_preconditioner(state: KfacFactors, layer: int, grad_matrix) -> np.ndarray:
+def apply_preconditioner(state: KfacFactors, layer: int, grad) -> np.ndarray:
     """Apply the stored damped inverse of S_l (x) A_l to a layer gradient.
 
-    `grad_matrix` is out x in(+1), laid out like the weight matrix (with the
-    bias gradient as a trailing column when present).  Factored damping
-    computes (S + sqrt(lam) I)^-1 V (A + sqrt(lam) I)^-1; dense damping
-    inverts S (x) A + lam I through the factors' eigenbases.
+    `grad` is either the out x in(+1) matrix V, laid out like the weight
+    matrix (with the bias gradient as a trailing column when present), or
+    the pair (ds, a) of its thin factors V = ds^T a: ds the n x out
+    pre-activation gradients, a the n x in(+1) layer inputs (with the column
+    of ones when the network has biases).  A minibatch gradient has rank at
+    most n, so the pair route never forms V: factored damping computes
+    (S + sqrt(lam) I)^-1 V (A + sqrt(lam) I)^-1 as
+    ((S + sqrt(lam) I)^-1 ds^T)(a (A + sqrt(lam) I)^-1); dense damping
+    inverts S (x) A + lam I through the factors' eigenbases and forms its
+    core Q_S^T V Q_A as (Q_S^T ds^T)(a Q_A).  Where n >= out (a narrow
+    output layer) the n x out product is taken first instead, which is the
+    cheaper order there.
     """
     if state.inverses is None:
         raise ContractError("factors have not been inverted yet")
-    v = np.asarray(grad_matrix, dtype=np.float64)
     s_side, a_side, denom = state.inverses[layer]
-    if v.shape != (s_side.shape[0], a_side.shape[0]):
-        raise ShapeError(
-            f"layer {layer}: gradient shape {v.shape} does not match factors "
-            f"({s_side.shape[0]} x {a_side.shape[0]})"
-        )
-    if denom is None:
-        return s_side @ v @ a_side
-    core = s_side.T @ v @ a_side
+    want = (s_side.shape[0], a_side.shape[0])
+    if isinstance(grad, tuple):
+        ds, a = (np.asarray(m, dtype=np.float64) for m in grad)
+        if (ds.ndim != 2 or a.ndim != 2 or ds.shape[0] != a.shape[0]
+                or (ds.shape[1], a.shape[1]) != want):
+            raise ShapeError(
+                f"layer {layer}: gradient factors {ds.shape}/{a.shape} do not match factors "
+                f"({want[0]} x {want[1]})"
+            )
+        left = (s_side if denom is None else s_side.T) @ ds.T
+        # a (A + sqrt(lam) I)^-1 costs n in^2, V (A + sqrt(lam) I)^-1 out in^2
+        core = left @ (a @ a_side) if ds.shape[0] < want[0] else (left @ a) @ a_side
+        if denom is None:
+            return core
+    else:
+        v = np.asarray(grad, dtype=np.float64)
+        if v.shape != want:
+            raise ShapeError(
+                f"layer {layer}: gradient shape {v.shape} does not match factors "
+                f"({want[0]} x {want[1]})"
+            )
+        if denom is None:
+            return s_side @ v @ a_side
+        core = s_side.T @ v @ a_side
     return s_side @ (core / denom) @ a_side.T
 
 

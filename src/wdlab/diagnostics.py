@@ -8,7 +8,8 @@ run to match another run's recorded norms — legitimate only on BN-covered
 layers, where it leaves the function untouched.
 
 Records serialize to one CSV per run, every float written with 17
-significant digits so the file round-trips bit-exactly.
+significant digits so the file round-trips bit-exactly.  K-FAC runs also
+log their factor spectra at every inversion to a separate health CSV.
 """
 
 from __future__ import annotations
@@ -264,6 +265,22 @@ class MetricLog:
                 writer.writerow(header)
                 self._header = header
             writer.writerow(self._row(record))
+
+
+HEALTH_FIELDS = ("a_eig_min", "a_eig_max", "s_eig_min", "s_eig_max", "damping_ratio")
+
+
+def write_kfac_health(path, health: list[tuple[int, list[curvature.FactorSpectrum]]]) -> None:
+    """K-FAC health log: one CSV row per (inversion step, layer) with the
+    factor eigenvalue extremes, the damping relative to the mean eigenvalue
+    of S (x) A, and the steps since the previous inversion."""
+    with open(os.fspath(path), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["step", "layer", *HEALTH_FIELDS, "steps_since_last_inversion"])
+        for step, spectra in health:
+            for l, sp in enumerate(spectra):
+                writer.writerow([step, l, *(_fmt(getattr(sp, f)) for f in HEALTH_FIELDS),
+                                 sp.steps_since_last_inversion])
 
 
 def load_metrics(path) -> list[MetricRecord]:

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: eigendecomposition, damped inverses,
-Kronecker-factored preconditioning, norms.
+norms.
 
 Everything is float64 and O(n^3); sizes stay in the hundreds-to-thousands.
 """
@@ -75,42 +75,6 @@ def damped_inverse(m, lam: float) -> np.ndarray:
     q = eig.eigenvectors
     inv = (q / (eig.eigenvalues + lam)) @ q.T
     return (inv + inv.T) / 2.0
-
-
-def kron_precondition(a, s, v, lam: float, damping: str = "factored") -> np.ndarray:
-    """Apply the inverse of the damped Kronecker product S (x) A to a matrix V.
-
-    `a` is n1 x n1, `s` is n2 x n2, `v` is n1 x n2.  With factored damping the
-    result is (A + sqrt(lam) I)^-1 V (S + sqrt(lam) I)^-1, i.e. the exact
-    inverse of (S + sqrt(lam) I) (x) (A + sqrt(lam) I) applied to vec(V)
-    (column-major).  With dense damping the operator is (S (x) A + lam I)^-1,
-    applied through the two factors' eigenbases.
-    """
-    if lam <= 0.0:
-        raise DomainError(f"damping must be positive, got {lam}")
-    am = _as_matrix(a)
-    sm = _as_matrix(s)
-    vm = _as_matrix(v)
-    _require_symmetric(am, "kron_precondition")
-    _require_symmetric(sm, "kron_precondition")
-    if vm.shape != (am.shape[0], sm.shape[0]):
-        raise ShapeError(
-            f"kron_precondition: V must be {am.shape[0]}x{sm.shape[0]}, got {vm.shape}"
-        )
-    if damping == "factored":
-        root = np.sqrt(lam)
-        a_d = am + root * np.eye(am.shape[0])
-        s_d = sm + root * np.eye(sm.shape[0])
-        return np.linalg.solve(a_d, np.linalg.solve(s_d, vm.T).T)
-    if damping == "dense":
-        ea = sym_eig(am)
-        es = sym_eig(sm)
-        # In the factors' joint eigenbasis S (x) A + lam I is diagonal with
-        # entries mu_A[i] * mu_S[j] + lam.
-        core = ea.eigenvectors.T @ vm @ es.eigenvectors
-        denom = np.outer(ea.eigenvalues, es.eigenvalues) + lam
-        return ea.eigenvectors @ (core / denom) @ es.eigenvectors.T
-    raise DomainError(f"unknown damping mode {damping!r}")
 
 
 def frobenius_norm_sq(m) -> float:

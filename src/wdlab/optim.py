@@ -259,7 +259,8 @@ class KfacState:
 
     metric "fisher" estimates S from model-sampled targets; "gn" from output
     seeds.  Factors refresh by EMA every t_stats steps and their inverses
-    every t_inv steps; step 0 forces both.
+    every t_inv steps; step 0 forces both.  health holds (step, per-layer
+    factor spectra) for every inversion so far.
     """
 
     metric: str
@@ -275,6 +276,7 @@ class KfacState:
     base_eta: float = field(init=False)
     step: int = 0
     factors: curvature.KfacFactors | None = None
+    health: list[tuple[int, list[curvature.FactorSpectrum]]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.metric not in ("fisher", "gn"):
@@ -291,12 +293,6 @@ class KfacState:
             raise DomainError("the fisher metric needs an rng for target sampling")
 
 
-def _layer_grad_matrix(spec: nn.NetworkSpec, result, l: int) -> np.ndarray:
-    if spec.use_bias:
-        return np.hstack([result.weight_grads[l], result.bias_grads[l][:, None]])
-    return result.weight_grads[l]
-
-
 def kfac_step(
     state: KfacState,
     spec: nn.NetworkSpec,
@@ -308,9 +304,14 @@ def kfac_step(
     """One K-FAC step on an (inputs, targets) batch: (new params, batch loss).
 
     One train-mode forward serves the loss, its gradient and, when due, the
-    factor statistics.  The gradient is preconditioned per layer by the
-    stored damped factor inverses; l2 adds beta*W to the gradient before
-    preconditioning while weight_decay subtracts eta*beta*W after.
+    factor statistics; each inversion appends the layers' factor spectra to
+    `state.health`.  The gradient is preconditioned per layer by the stored
+    damped factor inverses; l2 adds beta*W to the gradient before
+    preconditioning while weight_decay subtracts eta*beta*W after.  A layer
+    without an l2 term hands the preconditioner the thin factors (ds, a) of
+    its rank-n gradient ds^T a, so the full gradient is never formed; a layer
+    with one forms ds^T a (with the bias column) and adds beta*W, which is
+    full rank.
     """
     _check_decay_stability(state.eta, coupling)
     x, targets = batch
@@ -325,23 +326,28 @@ def kfac_step(
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
         curvature.invert_factors(state.factors, state.lam, state.damping_mode)
+        state.health.append((state.step, state.factors.spectra))
 
     value, dl_dz = loss.loss_and_grad(state.loss_kind, logits, targets)
-    result = nn.backward(spec, params, trace, dl_dz)
+    s_grads, _ = nn.vjp(spec, params, trace, dl_dz)
 
     mask = coupling.layer_mask(spec.n_layers)
     eta = state.eta
     new = params.copy()
     for l in range(spec.n_layers):
-        v = _layer_grad_matrix(spec, result, l)
+        ds, a = s_grads[l], trace.layer_inputs[l]
         if coupling.mode == COUPLING_L2 and mask[l] and coupling.beta != 0.0:
+            grad = ds.T @ a
             if spec.use_bias:
-                v = v + coupling.beta * np.hstack(
-                    [params.weights[l], np.zeros((v.shape[0], 1))]
+                grad = np.hstack([grad, ds.sum(axis=0)[:, None]])
+                grad = grad + coupling.beta * np.hstack(
+                    [params.weights[l], np.zeros((grad.shape[0], 1))]
                 )
             else:
-                v = v + coupling.beta * params.weights[l]
-        pre = curvature.apply_preconditioner(state.factors, l, v)
+                grad = grad + coupling.beta * params.weights[l]
+        else:
+            grad = (ds, curvature._augment_inputs(spec, a))
+        pre = curvature.apply_preconditioner(state.factors, l, grad)
         if not np.all(np.isfinite(pre)):
             raise NumericalError(f"layer {l}: preconditioned gradient is not finite")
         if spec.use_bias:

@@ -2,14 +2,19 @@
 
 A run is fully determined by its config: every RNG (init, shuffles, sampled
 targets) is derived from the config seed, so repeating a run reproduces the
-metric CSV byte for byte.  Each run directory receives the resolved config,
-a metrics.csv, and a final checkpoint.
+metric CSV byte for byte at a fixed BLAS thread count.  Each run directory
+receives the resolved config, a manifest.json naming what produced the run,
+a metrics.csv, a final checkpoint and, for K-FAC runs, a kfac_health.csv.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
 import os
+import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -64,6 +69,45 @@ def build_dataset(cfg: config_mod.ExperimentConfig) -> data.Dataset:
             whiten_inputs=cfg.whiten_inputs,
         )
     return data.make_splits(ds, cfg.n_train, cfg.n_val, cfg.n_test, seed=cfg.seed)
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def source_revision() -> str | None:
+    """Git revision of the tree this package was loaded from, or None."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        # the second revision fails unless this file is tracked, so a
+        # package installed inside some unrelated checkout reports None
+        out = subprocess.run(["git", "-C", here, "rev-parse", "HEAD", "HEAD:./training.py"],
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.split()[0] if out.returncode == 0 else None
+
+
+def write_manifest(path, config_text: str, seed: int) -> None:
+    """Write what produced a run as JSON: its config hash and seed, numpy
+    and BLAS, the BLAS thread settings (metrics.csv bytes depend on them)
+    and the source revision."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its build config
+        blas = {}
+    manifest = {
+        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "seed": seed,
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "git_revision": source_revision(),
+    }
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def make_optimizer(cfg: config_mod.ExperimentConfig):
@@ -141,11 +185,15 @@ def train(
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    if os.path.exists(metrics_path):
-        os.remove(metrics_path)
+    health_path = os.path.join(cfg.out_dir, "kfac_health.csv")
+    for stale in (metrics_path, health_path):
+        if os.path.exists(stale):
+            os.remove(stale)
     log = diagnostics.MetricLog(metrics_path)
+    config_text = config_mod.to_ini(cfg)
     with open(os.path.join(cfg.out_dir, "config.ini"), "w") as fh:
-        fh.write(config_mod.to_ini(cfg))
+        fh.write(config_text)
+    write_manifest(os.path.join(cfg.out_dir, "manifest.json"), config_text, cfg.seed)
 
     def record(epoch):
         return diagnostics.record_metrics(
@@ -164,28 +212,33 @@ def train(
 
     records = [record(0)]
     n_train = x_train.shape[0]
-    for epoch in range(1, cfg.epochs + 1):
-        optim.apply_lr_schedule(opt_state, epoch - 1)
-        perm = np.random.default_rng([cfg.seed, 0x5F, epoch]).permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            if spec.has_bn and batch.size < 2:
-                continue  # train-mode BN needs at least two rows
-            params, value = _minibatch_pass(
-                spec, params, bn_state, opt_state, coupling,
-                x_train[batch], y_train[batch],
-            )
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch}, batch offset {start}",
-                    record={"epoch": epoch, "offset": start, "loss": value,
-                            "eta": opt_state.eta, "beta": coupling.beta},
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            optim.apply_lr_schedule(opt_state, epoch - 1)
+            perm = np.random.default_rng([cfg.seed, 0x5F, epoch]).permutation(n_train)
+            for start in range(0, n_train, cfg.batch_size):
+                batch = perm[start : start + cfg.batch_size]
+                if spec.has_bn and batch.size < 2:
+                    continue  # train-mode BN needs at least two rows
+                params, value = _minibatch_pass(
+                    spec, params, bn_state, opt_state, coupling,
+                    x_train[batch], y_train[batch],
                 )
-        if norm_plan is not None:
-            params = diagnostics.norm_transfer(
-                spec, params, norm_plan.norms_by_epoch[epoch], norm_plan.mask
-            )
-        records.append(record(epoch))
+                if not np.isfinite(value):
+                    raise TrainingDiverged(
+                        f"non-finite loss {value} at epoch {epoch}, batch offset {start}",
+                        record={"epoch": epoch, "offset": start, "loss": value,
+                                "eta": opt_state.eta, "beta": coupling.beta},
+                    )
+            if norm_plan is not None:
+                params = diagnostics.norm_transfer(
+                    spec, params, norm_plan.norms_by_epoch[epoch], norm_plan.mask
+                )
+            records.append(record(epoch))
+    finally:
+        # a diverged K-FAC run keeps the spectra that led up to it
+        if isinstance(opt_state, optim.KfacState):
+            diagnostics.write_kfac_health(health_path, opt_state.health)
 
     checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.bin")
     nn.save_checkpoint(checkpoint_path, spec, params, cfg.seed, cfg.epochs, fmt="binary")

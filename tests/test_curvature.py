@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_diff_grad, central_diff_jacobian
-from wdlab import curvature, linalg, loss, nn
+from helpers import central_diff_grad, central_diff_jacobian, kron_precondition
+from wdlab import curvature, loss, nn
 from wdlab.errors import (
     CapacityError,
     ContractError,
@@ -273,10 +273,74 @@ def test_apply_preconditioner_matches_kron_solve(damping):
         out, inp = spec.weight_shape(l)
         v = rng.normal(size=(out, inp))
         got = curvature.apply_preconditioner(state, l, v)
-        expected = linalg.kron_precondition(
+        expected = kron_precondition(
             state.a_factors[l], state.s_factors[l], v.T, 1e-3, damping=damping
         ).T
         assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+
+
+def rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("damping", ["factored", "dense"])
+def test_apply_preconditioner_rank_n_pair_matches_kron_solve(damping, bias):
+    # the (ds, a) route against the reference on the formed ds^T a, with
+    # batches thinner than the 7-wide layer (thin factors first) and wider
+    # than the 2-wide output (ds^T a first)
+    rng = np.random.default_rng(18)
+    spec = nn.mlp((9, 7, 2), bias=bias)
+    state = curvature.KfacFactors.zeros(spec)
+    fresh = []
+    for l in range(spec.n_layers):
+        side_a, side_s = state.a_factors[l].shape[0], state.s_factors[l].shape[0]
+        ba = rng.normal(size=(side_a, side_a + 2))
+        bs = rng.normal(size=(side_s, side_s + 2))
+        fresh.append((ba @ ba.T / side_a, bs @ bs.T / side_s))
+    curvature.update_factors_ema(state, fresh, decay=0.0)
+    curvature.invert_factors(state, lam=1e-3, damping=damping)
+    for n in (3, 12):
+        for l in range(spec.n_layers):
+            out, inp = spec.weight_shape(l)
+            ds = rng.normal(size=(n, out))
+            a = curvature._augment_inputs(spec, rng.normal(size=(n, inp)))
+            got = curvature.apply_preconditioner(state, l, (ds, a))
+            expected = kron_precondition(
+                state.a_factors[l], state.s_factors[l], (ds.T @ a).T, 1e-3, damping=damping
+            ).T
+            assert rel_err(got, expected) <= 1e-12
+
+
+def test_apply_preconditioner_rank_n_pair_checks_shapes():
+    spec = nn.mlp((3, 2))
+    state = curvature.KfacFactors.zeros(spec)
+    curvature.invert_factors(state, lam=1e-2)
+    for ds, a in ((np.zeros((4, 3)), np.zeros((4, 3))),   # ds is not n x out
+                  (np.zeros((4, 2)), np.zeros((4, 4))),   # a is not n x in
+                  (np.zeros((4, 2)), np.zeros((5, 3))),   # row counts differ
+                  (np.zeros(2), np.zeros(3))):
+        with pytest.raises(ShapeError):
+            curvature.apply_preconditioner(state, 0, (ds, a))
+
+
+def test_invert_factors_records_factor_spectra():
+    spec = nn.mlp((3, 2))
+    state = curvature.KfacFactors.zeros(spec)
+    a = np.diag([1.0, 2.0, 6.0])
+    s = np.diag([0.5, 1.5])
+    curvature.update_factors_ema(state, [(a, s)], decay=0.0)
+    curvature.invert_factors(state, lam=0.2)
+    (sp,) = state.spectra
+    assert_allclose([sp.a_eig_min, sp.a_eig_max, sp.s_eig_min, sp.s_eig_max],
+                    [1.0, 6.0, 0.5, 1.5], rtol=1e-14)
+    # mean eigenvalue of S (x) A is (9/3) * (2/2) = 3
+    assert_allclose(sp.damping_ratio, 0.2 / 3.0, rtol=1e-14)
+    assert sp.steps_since_last_inversion == 0
+    state.steps_since_inversion = 7
+    curvature.invert_factors(state, lam=0.2)
+    assert state.spectra[0].steps_since_last_inversion == 7
+    assert state.steps_since_inversion == 0
 
 
 def test_apply_preconditioner_requires_inversion_and_checks_shapes():

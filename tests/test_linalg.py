@@ -1,7 +1,8 @@
 """Dense linear algebra against independent oracles.
 
-The Kronecker preconditioner is checked against an explicit np.kron build of
-the full operator — the code under test never materializes it.
+The reference Kronecker preconditioner in tests/helpers.py, which
+tests/test_curvature.py holds the optimizer's preconditioner to, is itself
+checked here against an explicit np.kron build of the full operator.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import kron_precondition
 from wdlab import linalg
 from wdlab.errors import DomainError, ShapeError
 
@@ -128,7 +130,7 @@ def test_kron_precondition_matches_dense_kron_solve(damping):
     s = random_psd(rng, 3)
     v = rng.normal(size=(4, 3))
     lam = 1e-3
-    got = linalg.kron_precondition(a, s, v, lam, damping=damping)
+    got = kron_precondition(a, s, v, lam, damping=damping)
     expected = dense_kron_solve(a, s, v, lam, factored=(damping == "factored"))
     assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
@@ -139,7 +141,7 @@ def test_kron_precondition_dense_inverts_forward_operator():
     s = random_psd(rng, 4)
     v = rng.normal(size=(5, 4))
     lam = 0.05
-    x = linalg.kron_precondition(a, s, v, lam, damping="dense")
+    x = kron_precondition(a, s, v, lam, damping="dense")
     # forward: (S (x) A + lam I) vec(X) = vec(A X S) + lam vec(X)
     assert_allclose(a @ x @ s + lam * x, v, rtol=1e-8, atol=1e-12)
 
@@ -154,7 +156,7 @@ def test_kron_precondition_factored_closed_form():
     expected = (
         np.linalg.inv(a + root * np.eye(4)) @ v @ np.linalg.inv(s + root * np.eye(3))
     )
-    got = linalg.kron_precondition(a, s, v, lam, damping="factored")
+    got = kron_precondition(a, s, v, lam, damping="factored")
     assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
 
@@ -163,13 +165,13 @@ def test_kron_precondition_rejects_bad_shapes_and_modes():
     s = np.eye(2)
     v = np.zeros((3, 2))
     with pytest.raises(ShapeError):
-        linalg.kron_precondition(a, s, np.zeros((2, 3)), 1e-3)
+        kron_precondition(a, s, np.zeros((2, 3)), 1e-3)
     with pytest.raises(DomainError):
-        linalg.kron_precondition(a, s, v, 0.0)
+        kron_precondition(a, s, v, 0.0)
     with pytest.raises(DomainError):
-        linalg.kron_precondition(a, s, v, 1e-3, damping="nope")
+        kron_precondition(a, s, v, 1e-3, damping="nope")
     with pytest.raises(ShapeError):
-        linalg.kron_precondition([[1.0, 2.0], [0.0, 1.0]], s[:2, :2].copy(), v[:2], 1e-3)
+        kron_precondition([[1.0, 2.0], [0.0, 1.0]], s[:2, :2].copy(), v[:2], 1e-3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +187,7 @@ def test_kron_precondition_property(seed, n1, n2, damping):
     s = random_psd(rng, n2)
     v = rng.normal(size=(n1, n2))
     lam = 10.0 ** rng.uniform(-4, 0)
-    got = linalg.kron_precondition(a, s, v, lam, damping=damping)
+    got = kron_precondition(a, s, v, lam, damping=damping)
     expected = dense_kron_solve(a, s, v, lam, factored=(damping == "factored"))
     assert_allclose(got, expected, rtol=1e-7, atol=1e-10)
 

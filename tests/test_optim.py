@@ -331,6 +331,128 @@ def test_kfac_step_fisher_factors_equal_a_direct_estimate():
         assert np.array_equal(state.factors.s_factors[l], s)
 
 
+def full_route_kfac_step(state, spec, params, batch, coupling):
+    """Reference K-FAC step that forms every layer's gradient as an
+    out x in(+1) matrix from nn.backward before preconditioning."""
+    x, y = batch
+    if state.factors is None:
+        state.factors = curvature.KfacFactors.zeros(spec)
+    logits, trace = nn.forward(spec, params, x, mode="train")
+    if state.step % state.t_stats == 0:
+        fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
+        curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
+    if state.step % state.t_inv == 0:
+        curvature.invert_factors(state.factors, state.lam, state.damping_mode)
+    _, dz = loss.loss_and_grad(state.loss_kind, logits, y)
+    result = nn.backward(spec, params, trace, dz)
+    mask = coupling.layer_mask(spec.n_layers)
+    new = params.copy()
+    for l in range(spec.n_layers):
+        v, w = result.weight_grads[l], params.weights[l]
+        if spec.use_bias:
+            v = np.hstack([v, result.bias_grads[l][:, None]])
+            w = np.hstack([w, np.zeros((w.shape[0], 1))])
+        if coupling.mode == optim.COUPLING_L2 and mask[l]:
+            v = v + coupling.beta * w
+        pre = curvature.apply_preconditioner(state.factors, l, v)
+        new.weights[l] = params.weights[l] - state.eta * (pre[:, :-1] if spec.use_bias else pre)
+        if spec.use_bias:
+            new.biases[l] = params.biases[l] - state.eta * pre[:, -1]
+        if coupling.mode == optim.COUPLING_WD and mask[l]:
+            new.weights[l] = new.weights[l] - (state.eta * coupling.beta) * params.weights[l]
+    state.factors.steps_since_inversion += 1
+    state.step += 1
+    return new
+
+
+def kfac_pair(metric, damping, bias, bn=False):
+    """Two identical K-FAC states with a 3-layer net and a batch."""
+    spec = nn.mlp((6, 9, 7, 3), bn=bn, bias=bias)
+    params = nn.init_params(spec, np.random.default_rng(20))
+    x = np.random.default_rng(21).normal(size=(5, 6))
+    y = np.random.default_rng(22).integers(0, 3, size=5)
+    states = [optim.KfacState(metric=metric, eta=0.05, lam=1e-2, t_stats=1, t_inv=2,
+                              damping_mode=damping, rng=np.random.default_rng(23))
+              for _ in range(2)]
+    return spec, params, (x, y), states
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("damping", ["factored", "dense"])
+@pytest.mark.parametrize("metric", ["fisher", "gn"])
+def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, damping, bias):
+    # beta*W is full rank, so l2 layers keep the formed gradient and its
+    # exact arithmetic, across steps with and without an inversion
+    spec, params, batch, (state, ref_state) = kfac_pair(metric, damping, bias)
+    coupling = optim.Coupling("l2", beta=0.1)
+    ref = params
+    for _ in range(3):
+        params, _ = optim.kfac_step(state, spec, params, batch, coupling)
+        ref = full_route_kfac_step(ref_state, spec, ref, batch, coupling)
+        for l in range(spec.n_layers):
+            assert np.array_equal(params.weights[l], ref.weights[l])
+            if bias:
+                assert np.array_equal(params.biases[l], ref.biases[l])
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("damping", ["factored", "dense"])
+def test_kfac_masked_l2_routes_each_layer(damping, bias, monkeypatch):
+    # l2 layers take the formed gradient (bit-identical to the full route),
+    # the others its rank-n factors (equal up to rounding)
+    spec, params, batch, (state, ref_state) = kfac_pair("gn", damping, bias, bn=True)
+    coupling = optim.Coupling("l2", beta=0.1, mask=(True, False, False))
+    routes = []
+    apply = curvature.apply_preconditioner
+
+    def recording(factors, layer, grad):
+        routes.append(type(grad))
+        return apply(factors, layer, grad)
+
+    monkeypatch.setattr(curvature, "apply_preconditioner", recording)
+    new, _ = optim.kfac_step(state, spec, params, batch, coupling)
+    assert routes == [np.ndarray, tuple, tuple]
+    monkeypatch.setattr(curvature, "apply_preconditioner", apply)
+    ref = full_route_kfac_step(ref_state, spec, params, batch, coupling)
+    assert np.array_equal(new.weights[0], ref.weights[0])
+    for l in (1, 2):
+        step = params.weights[l] - ref.weights[l]
+        assert np.linalg.norm(new.weights[l] - ref.weights[l]) <= 1e-12 * np.linalg.norm(step)
+
+
+@pytest.mark.parametrize("mode", optim.COUPLING_MODES)
+def test_kfac_step_never_calls_backward(mode, monkeypatch):
+    spec, params, batch, (state, _) = kfac_pair("fisher", "factored", bias=True, bn=True)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kfac_step called nn.backward")
+
+    monkeypatch.setattr(nn, "backward", forbidden)
+    for _ in range(3):
+        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling(mode, beta=0.1))
+
+
+def test_kfac_health_rows_at_each_inversion():
+    spec, params, batch, (state, _) = kfac_pair("gn", "factored", bias=True)
+    state.t_inv = 3
+    for _ in range(4):
+        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling())
+    assert [step for step, _ in state.health] == [0, 3]
+    assert [sp.steps_since_last_inversion for sp in state.health[1][1]] == [3, 3, 3]
+    # t_stats = 1 and no step since the step-3 inversion: the stored factors
+    # are the ones that inversion saw
+    for l, sp in enumerate(state.health[1][1]):
+        a, s = state.factors.a_factors[l], state.factors.s_factors[l]
+        want = state.lam / ((np.trace(a) / a.shape[0]) * (np.trace(s) / s.shape[0]))
+        assert_allclose(sp.damping_ratio, want, rtol=1e-12)
+        ea, es = np.linalg.eigvalsh(a), np.linalg.eigvalsh(s)
+        assert_allclose([sp.a_eig_min, sp.a_eig_max, sp.s_eig_min, sp.s_eig_max],
+                        [ea[0], ea[-1], es[0], es[-1]], rtol=1e-9, atol=1e-14)
+    for _ in range(3):
+        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling())
+    assert [step for step, _ in state.health] == [0, 3, 6]
+
+
 def test_kfac_state_validation():
     with pytest.raises(DomainError):
         optim.KfacState(metric="hessian", eta=0.1)

@@ -1,4 +1,8 @@
+import csv
 import dataclasses
+import hashlib
+import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -134,6 +138,61 @@ def test_kfac_run_smoke(tmp_path):
     result = training.train(cfg)
     assert np.isfinite(result.final.train_loss)
     assert len(result.records) == 3
+
+
+def test_kfac_run_writes_health_log(tmp_path):
+    # 120 rows / batch 20 = 6 steps an epoch, 12 in all: inversions at 0, 4, 8
+    cfg = tiny_config(tmp_path, optimizer="kfac_fisher", batchnorm=True, eta=0.05,
+                      lam=1e-2, stats_every=2, invert_every=4)
+    result = training.train(cfg)
+    with open(os.path.join(result.out_dir, "kfac_health.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["step"]), int(r["layer"])) for r in rows] == [
+        (step, l) for step in (0, 4, 8) for l in range(2)
+    ]
+    assert [int(r["steps_since_last_inversion"]) for r in rows] == [0, 0, 4, 4, 4, 4]
+    for r in rows:
+        assert 0.0 < float(r["damping_ratio"]) < float("inf")
+        assert float(r["a_eig_min"]) <= float(r["a_eig_max"])
+        assert float(r["s_eig_min"]) <= float(r["s_eig_max"])
+
+
+def test_sgd_run_writes_no_health_log(tmp_path):
+    kfac = training.train(tiny_config(tmp_path, optimizer="kfac_gn", eta=0.05))
+    assert os.path.exists(os.path.join(kfac.out_dir, "kfac_health.csv"))
+    # rerunning the directory with SGD removes the stale K-FAC log
+    result = training.train(tiny_config(tmp_path))
+    assert not os.path.exists(os.path.join(result.out_dir, "kfac_health.csv"))
+
+
+def test_manifest_names_config_seed_and_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    cfg = tiny_config(tmp_path, seed=11)
+    result = training.train(cfg)
+    with open(os.path.join(result.out_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert set(manifest) == {"config_sha256", "seed", "numpy", "blas", "threads",
+                             "cpu_count", "git_revision"}
+    with open(os.path.join(result.out_dir, "config.ini"), "rb") as fh:
+        assert manifest["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert manifest["seed"] == 11
+    assert manifest["numpy"] == np.__version__
+    assert set(manifest["blas"]) == {"name", "version"}
+    assert manifest["threads"] == {k: os.environ.get(k) for k in training.THREAD_VARS}
+    assert manifest["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["git_revision"] == training.source_revision()
+
+
+def test_metrics_bytes_do_not_depend_on_manifest_or_health_log(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, optimizer="kfac_gn", eta=0.05, invert_every=3)
+    with_files = training.train(dataclasses.replace(cfg, out_dir=str(tmp_path / "a")))
+    monkeypatch.setattr(training, "write_manifest", lambda *args: None)
+    monkeypatch.setattr(diagnostics, "write_kfac_health", lambda *args: None)
+    without = training.train(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
+    assert sorted(os.listdir(tmp_path / "b")) == ["checkpoint.bin", "config.ini", "metrics.csv"]
+    with open(with_files.metrics_path, "rb") as fa, open(without.metrics_path, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 @pytest.mark.parametrize("kind", ["kfac_fisher", "kfac_gn"])
