@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from . import diagnostics, errors, nn, replicate, training, verify
+from . import diagnostics, errors, nn, optim, replicate, training, verify
 
 _USER_ERRORS = (
     errors.ShapeError, errors.DomainError, errors.CapacityError,
@@ -126,8 +126,10 @@ def _cmd_diag(args) -> int:
         x_test, y_test = x_train, y_train
     probe_x = x_test[:cfg.probe_size] if cfg.probe_size else None
     trace_x = x_train[:cfg.trace_size] if cfg.trace_layers else None
+    # the rate train records epoch `epoch` at: the one its last epoch stepped with
+    eta = optim.apply_lr_schedule(training.make_optimizer(cfg), epoch - 1).eta
     record = diagnostics.record_metrics(
-        epoch, spec, params, cfg.eta, (x_train, y_train), (x_test, y_test),
+        epoch, spec, params, eta, (x_train, y_train), (x_test, y_test),
         probe_x=probe_x, trace_x=trace_x, trace_layers=tuple(cfg.trace_layers))
     payload = dataclasses.asdict(record)
     payload["checkpoint"] = str(ckpt)

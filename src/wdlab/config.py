@@ -13,14 +13,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import curvature, nn, optim
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, InstabilityError
 
 OPTIMIZERS = ("sgd", "adam", "kfac_fisher", "kfac_gn")
 DATASETS = ("synthetic", "mnist")
-MASKS = ("all", "none", "hidden_only", "output_only")
 
 
 @dataclass
@@ -69,10 +68,10 @@ class ExperimentConfig:
             raise DomainError(
                 f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}"
             )
-        if self.coupling not in (optim.COUPLING_NONE, optim.COUPLING_L2, optim.COUPLING_WD):
+        if self.coupling not in optim.COUPLING_MODES:
             raise DomainError(f"unknown coupling {self.coupling!r}")
-        if self.mask not in MASKS:
-            raise DomainError(f"unknown mask {self.mask!r}; choose from {MASKS}")
+        if self.mask not in optim.MASK_PRESETS:
+            raise DomainError(f"unknown mask {self.mask!r}; choose from {optim.MASK_PRESETS}")
         if self.damping not in curvature.DAMPING_MODES:
             raise DomainError(
                 f"unknown damping {self.damping!r}; choose from {curvature.DAMPING_MODES}"
@@ -94,6 +93,12 @@ class ExperimentConfig:
             raise DomainError(f"eta must be positive, got {self.eta}")
         if self.momentum > 0 and self.optimizer != "sgd":
             raise DomainError(f"momentum applies to sgd only, not {self.optimizer}")
+        if not 0.0 <= self.factor_decay < 1.0:
+            raise DomainError(f"factor decay must be in [0, 1), got {self.factor_decay}")
+        if self.coupling != optim.COUPLING_NONE and self.eta * self.beta >= 1.0:
+            raise InstabilityError(
+                f"eta * beta = {self.eta * self.beta:.3g} >= 1 would flip or kill the weights"
+            )
         probe_pool = self.n_test or self.n_train  # the test split, else train
         if self.probe_size > probe_pool:
             raise DomainError(f"probe size {self.probe_size} exceeds its {probe_pool}-row split")

@@ -28,14 +28,12 @@ import numpy as np
 from . import linalg, loss, nn
 from .errors import CapacityError, ContractError, DegenerateError, DomainError, ShapeError
 
-FISHER_SAMPLED = "fisher_sampled"
 FISHER_EXACT = "fisher_exact"
 GAUSS_NEWTON = "gauss_newton"
 GENERALIZED_GN = "generalized_gn"
-CURVATURE_KINDS = (FISHER_SAMPLED, FISHER_EXACT, GAUSS_NEWTON, GENERALIZED_GN)
+CURVATURE_KINDS = (FISHER_EXACT, GAUSS_NEWTON, GENERALIZED_GN)
 DAMPING_MODES = ("factored", "dense")
 
-PARAM_CAP = 20000
 CLASS_CAP = 16
 
 
@@ -47,7 +45,6 @@ def per_example_param_jacobians(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
     x,
-    cap: int = PARAM_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-example output/parameter Jacobians: (logits, n x k x P).
 
@@ -57,7 +54,7 @@ def per_example_param_jacobians(
     the example's influence on the batch statistics.
     """
     logits, trace = nn.forward(spec, params, x, mode=_curvature_mode(spec))
-    return logits, nn.param_jacobian(spec, params, trace, cap=cap)
+    return logits, nn.param_jacobian(spec, params, trace)
 
 
 def dense_curvature(
@@ -66,9 +63,6 @@ def dense_curvature(
     params: nn.NetworkParams,
     x,
     loss_kind: str = loss.CROSS_ENTROPY,
-    rng: np.random.Generator | None = None,
-    cap: int = PARAM_CAP,
-    class_cap: int = CLASS_CAP,
 ) -> np.ndarray:
     """Dense P x P curvature over the canonical flattening, batch-averaged.
 
@@ -77,16 +71,12 @@ def dense_curvature(
     fisher_exact:    E_x sum_y p(y|x) grad log p(y|x) grad log p(y|x)^T,
                      summing classes for cross-entropy and integrating the
                      unit-variance Gaussian analytically for squared error
-    fisher_sampled:  the Monte Carlo version with one model-sampled target
-                     per example (requires rng)
     """
     if kind not in CURVATURE_KINDS:
         raise DomainError(f"unknown curvature kind {kind!r}")
     if loss_kind not in loss.LOSS_KINDS:
         raise DomainError(f"unknown loss kind {loss_kind!r}")
-    if kind == FISHER_SAMPLED and rng is None:
-        raise DomainError("fisher_sampled needs an rng for target sampling")
-    logits, jac = per_example_param_jacobians(spec, params, x, cap=cap)
+    logits, jac = per_example_param_jacobians(spec, params, x)
     n, k, p_count = jac.shape
 
     if kind == GAUSS_NEWTON:
@@ -94,33 +84,23 @@ def dense_curvature(
     elif kind == GENERALIZED_GN:
         hess = np.stack([loss.output_hessian(loss_kind, z) for z in logits])
         c = np.einsum("nkp,nkl,nlq->pq", jac, hess, jac, optimize=True) / n
-    elif kind == FISHER_EXACT:
-        if loss_kind == loss.CROSS_ENTROPY:
-            if k > class_cap:
-                raise CapacityError(f"fisher_exact sums over {k} classes, cap is {class_cap}")
-            probs = loss.softmax(logits)
-            eye = np.eye(k)
-            c = np.zeros((p_count, p_count))
-            for y in range(k):
-                g = np.einsum("nkp,nk->np", jac, eye[y] - probs, optimize=True)
-                c += (g * probs[:, y, None]).T @ g
-            c /= n
-        else:
-            # unit-variance Gaussian model: the target integral leaves one
-            # outer product per output coordinate
-            c = np.zeros((p_count, p_count))
-            for j in range(k):
-                c += jac[:, j, :].T @ jac[:, j, :]
-            c /= n
-    else:  # FISHER_SAMPLED
-        if loss_kind == loss.CROSS_ENTROPY:
-            probs = loss.softmax(logits)
-            y = loss.sample_targets(probs, rng)
-            resid = np.eye(k)[y] - probs
-        else:
-            resid = rng.normal(size=(n, k))
-        g = np.einsum("nkp,nk->np", jac, resid, optimize=True)
-        c = g.T @ g / n
+    elif loss_kind == loss.CROSS_ENTROPY:  # fisher_exact, summing classes
+        if k > CLASS_CAP:
+            raise CapacityError(f"fisher_exact sums over {k} classes, cap is {CLASS_CAP}")
+        probs = loss.softmax(logits)
+        eye = np.eye(k)
+        c = np.zeros((p_count, p_count))
+        for y in range(k):
+            g = np.einsum("nkp,nk->np", jac, eye[y] - probs, optimize=True)
+            c += (g * probs[:, y, None]).T @ g
+        c /= n
+    else:
+        # unit-variance Gaussian model: the target integral leaves one
+        # outer product per output coordinate
+        c = np.zeros((p_count, p_count))
+        for j in range(k):
+            c += jac[:, j, :].T @ jac[:, j, :]
+        c /= n
     return (c + c.T) / 2.0
 
 
@@ -183,14 +163,13 @@ def estimate_kfac_factors(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
     trace: nn.ForwardTrace,
-    loss_kind: str = loss.CROSS_ENTROPY,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Batch estimates of (A_l, S_l) for every layer from a train-mode forward.
 
     A_l is the second moment of the layer inputs.  S_l under the "fisher"
-    metric is the second moment of back-propagated loss gradients at
-    model-sampled targets (per example, no 1/n); under "gn" it sums over the
+    metric is the second moment of back-propagated cross-entropy gradients
+    at model-sampled targets (per example, no 1/n); under "gn" it sums over the
     k output seeds of a stacked backward.  BN networks use the ordinary batched
     backward here — these are running-statistic estimates, not oracles.
     """
@@ -214,15 +193,9 @@ def estimate_kfac_factors(
                     g = s_grads[l][j]
                     s_sums[l] += g.T @ g
     else:
-        if loss_kind == loss.CROSS_ENTROPY:
-            probs = loss.softmax(logits)
-            y = loss.sample_targets(probs, rng)
-            seed = probs - np.eye(k)[y]
-        elif loss_kind == loss.SQUARED_ERROR:
-            seed = rng.normal(size=(n, k))
-        else:
-            raise DomainError(f"unknown loss kind {loss_kind!r}")
-        s_grads, _ = nn.vjp(spec, params, trace, seed)
+        probs = loss.softmax(logits)
+        y = loss.sample_targets(probs, rng)
+        s_grads, _ = nn.vjp(spec, params, trace, probs - np.eye(k)[y])
         for l in range(spec.n_layers):
             s_sums[l] += s_grads[l].T @ s_grads[l]
 
@@ -371,12 +344,11 @@ def gn_norm_gradient(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
     x,
-    cap: int = PARAM_CAP,
 ) -> np.ndarray:
     """Gradient of theta^T G theta with G frozen: 2 (L+1) G theta, flattened."""
     if spec.use_bias:
         raise ContractError("the metric-norm gradient identity requires a bias-free network")
-    g = dense_curvature(GAUSS_NEWTON, spec, params, x, cap=cap)
+    g = dense_curvature(GAUSS_NEWTON, spec, params, x)
     theta = nn.flatten_params(spec, params)
     return 2.0 * spec.n_layers * (g @ theta)
 
@@ -387,9 +359,6 @@ def normalized_trace(
     params: nn.NetworkParams,
     x,
     layer: int,
-    rng: np.random.Generator | None = None,
-    loss_kind: str = loss.CROSS_ENTROPY,
-    class_cap: int = CLASS_CAP,
 ) -> float:
     """Trace of the layer's curvature block at normalized weights.
 
@@ -415,10 +384,8 @@ def normalized_trace(
     logits, trace = nn.forward(spec, params, xm, mode=mode)
     n, k = logits.shape
     if kind == "fisher":
-        if loss_kind != loss.CROSS_ENTROPY:
-            raise DomainError("the fisher trace is defined here for cross-entropy only")
-        if k > class_cap:
-            raise CapacityError(f"fisher trace sums over {k} classes, cap is {class_cap}")
+        if k > CLASS_CAP:
+            raise CapacityError(f"fisher trace sums over {k} classes, cap is {CLASS_CAP}")
         probs = loss.softmax(logits)
     eye = np.eye(k)
 

@@ -61,10 +61,6 @@ class Dataset:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[name]
         return self.x[idx], self.y[idx]

@@ -57,13 +57,11 @@ def norm_transfer(
     params: nn.NetworkParams,
     reference_norms,
     mask,
-    strict: bool = True,
 ) -> nn.NetworkParams:
     """Rescale masked layers so their weight norms match `reference_norms`.
 
     Masked layers must be BN-covered — rescaling any other layer changes the
-    function.  `strict=False` downgrades that violation to a proceed-anyway
-    mode for replication experiments.
+    function.
     """
     refs = np.asarray(reference_norms, dtype=np.float64)
     mask = tuple(bool(b) for b in mask)
@@ -77,11 +75,8 @@ def norm_transfer(
     for l in range(n_layers):
         if not mask[l]:
             continue
-        if strict and not spec.bn_at(l):
-            raise ContractError(
-                f"layer {l} is not BN-covered; rescaling it changes the function "
-                "(pass strict=False to do it anyway)"
-            )
+        if not spec.bn_at(l):
+            raise ContractError(f"layer {l} is not BN-covered; rescaling it changes the function")
         if refs[l] <= 0:
             raise DomainError(f"reference norm for layer {l} must be positive, got {refs[l]}")
         current = float(np.linalg.norm(out.weights[l]))
@@ -99,22 +94,13 @@ def evaluate(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
     x,
-    targets,
-    loss_kind: str = loss.CROSS_ENTROPY,
+    labels,
     bn_state: nn.BnState | None = None,
 ) -> tuple[float, float]:
-    """(mean loss, accuracy) on a dataset, eval-mode BN.
-
-    Accuracy compares argmax logits with the labels (or, for vector targets,
-    with the targets' argmax).
-    """
+    """(mean cross-entropy, accuracy) on integer-labelled data, eval-mode BN."""
     logits, _ = nn.forward(spec, params, x, mode="eval", bn_state=bn_state)
-    value, _ = loss.loss_and_grad(loss_kind, logits, targets)
-    pred = np.argmax(logits, axis=1)
-    t = np.asarray(targets)
-    truth = t if t.ndim == 1 else np.argmax(t, axis=1)
-    acc = float(np.mean(pred == truth))
-    return value, acc
+    value, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, labels)
+    return value, float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 # --- metric records ---------------------------------------------------------
@@ -155,7 +141,6 @@ def record_metrics(
     eta: float,
     train_eval: tuple,
     test_eval: tuple,
-    loss_kind: str = loss.CROSS_ENTROPY,
     bn_state: nn.BnState | None = None,
     probe_x=None,
     trace_x=None,
@@ -165,8 +150,8 @@ def record_metrics(
     """Measure one epoch.  `probe_x` feeds the Jacobian and metric norms
     (skipped as NaN when absent); `trace_x`/`trace_layers` select the
     normalized-trace probes.  When `log` is given the record is appended."""
-    train_loss, train_acc = evaluate(spec, params, *train_eval, loss_kind=loss_kind, bn_state=bn_state)
-    test_loss, test_acc = evaluate(spec, params, *test_eval, loss_kind=loss_kind, bn_state=bn_state)
+    train_loss, train_acc = evaluate(spec, params, *train_eval, bn_state=bn_state)
+    test_loss, test_acc = evaluate(spec, params, *test_eval, bn_state=bn_state)
     norms = tuple(float(v) for v in nn.layer_norms(params))
     eff = tuple(effective_lr(eta, v) for v in norms)
 
@@ -184,8 +169,7 @@ def record_metrics(
     if trace_x is not None:
         for l in trace_layers:
             gn_traces[l] = curvature.normalized_trace("gn", spec, params, trace_x, l)
-            if loss_kind == loss.CROSS_ENTROPY:
-                fisher_traces[l] = curvature.normalized_trace("fisher", spec, params, trace_x, l)
+            fisher_traces[l] = curvature.normalized_trace("fisher", spec, params, trace_x, l)
 
     record = MetricRecord(
         epoch=int(epoch),

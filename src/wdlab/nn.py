@@ -10,8 +10,7 @@ per-example quantity (Jacobians, curvature probes) is computed.
 
 Conventions fixed here and relied on everywhere else:
   * weight matrices are out x in; s_l = a_l @ W_l.T (+ b_l),
-  * "depth" counts weight layers minus one: a depth-L network has L+1 weight
-    matrices, the output being layer L,
+  * a depth-L network has L+1 weight matrices, the output being layer L,
   * the canonical flattening of the parameter vector is, layer by layer,
     W_l.ravel(row-major) followed by b_l when biases are enabled.
 """
@@ -33,6 +32,9 @@ BN_EPSILON = 1e-8  # added to the batch variance; BN has no affine parameters
 # The most (seed, example) rows one stacked backward carries, which bounds its
 # temporaries; a desk-net BN trace (32 rows, 10 classes) runs one example at a time.
 SEED_ROWS = 512
+
+# The most parameters a dense per-example Jacobian (n x k x P) may span.
+PARAM_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,6 @@ class NetworkSpec:
 
     @property
     def n_hidden(self) -> int:
-        return self.n_layers - 1
-
-    @property
-    def depth(self) -> int:
-        """L: weight layers minus one."""
         return self.n_layers - 1
 
     @property
@@ -440,7 +437,6 @@ def param_jacobian(
     spec: NetworkSpec,
     params: NetworkParams,
     trace: ForwardTrace,
-    cap: int = 20000,
 ) -> np.ndarray:
     """Exact n x k x P Jacobians of each example's logits with respect to
     the canonical parameter flattening.
@@ -449,8 +445,8 @@ def param_jacobian(
     train-mode BN trace couples them through the batch statistics, so there
     every (example, output) pair gets its own seed, in SEED_ROWS chunks.
     """
-    if spec.n_params > cap:
-        raise CapacityError(f"{spec.n_params} parameters exceed the cap of {cap}")
+    if spec.n_params > PARAM_CAP:
+        raise CapacityError(f"{spec.n_params} parameters exceed the cap of {PARAM_CAP}")
     n, k = trace.logits.shape
     if trace.mode == "eval" or not spec.has_bn:
         s_grads, _ = vjp(spec, params, trace, output_seeds(n, k))
@@ -491,25 +487,14 @@ def layer_norms(params: NetworkParams) -> np.ndarray:
 
 # --- checkpoints ------------------------------------------------------------
 #
-# One JSON header line, then the canonical parameter flattening: one decimal
-# per line ("text") or raw little-endian float64 ("binary").  The binary
-# variant round-trips bit-exactly; so does text, since repr() of a float is
-# shortest-round-trip.
+# One JSON header line, then the canonical parameter flattening as raw
+# little-endian float64, which round-trips bit-exactly.
 
 
-def save_checkpoint(
-    path,
-    spec: NetworkSpec,
-    params: NetworkParams,
-    seed: int,
-    epoch: int,
-    fmt: str = "binary",
-) -> None:
-    if fmt not in ("text", "binary"):
-        raise DomainError(f"format must be 'text' or 'binary', got {fmt!r}")
+def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams, seed: int, epoch: int) -> None:
     theta = flatten_params(spec, params)
     header = {
-        "format": fmt,
+        "format": "binary",
         "spec": spec.to_dict(),
         "seed": int(seed),
         "epoch": int(epoch),
@@ -519,11 +504,7 @@ def save_checkpoint(
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        if fmt == "binary":
-            fh.write(theta.astype("<f8").tobytes())
-        else:
-            fh.write("\n".join(repr(float(v)) for v in theta).encode("ascii"))
-            fh.write(b"\n")
+        fh.write(theta.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, int, int]:
@@ -539,20 +520,13 @@ def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, int, int]:
     spec = NetworkSpec.from_dict(header["spec"])
     count = int(header["count"])
     payload = raw[nl + 1 :]
-    if header["format"] == "binary":
-        expected = count * 8
-        if len(payload) != expected:
-            raise DataFormatError(
-                f"checkpoint: binary payload is {len(payload)} bytes at offset {nl + 1}, "
-                f"expected {expected}"
-            )
-        theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    else:
-        lines = payload.decode("ascii").split()
-        if len(lines) != count:
-            raise DataFormatError(
-                f"checkpoint: {len(lines)} text values after offset {nl + 1}, expected {count}"
-            )
-        theta = np.array([float(v) for v in lines])
+    if header["format"] != "binary":
+        raise DataFormatError(f"checkpoint: unknown format {header['format']!r}, expected 'binary'")
+    if len(payload) != count * 8:
+        raise DataFormatError(
+            f"checkpoint: binary payload is {len(payload)} bytes at offset {nl + 1}, "
+            f"expected {count * 8}"
+        )
+    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     params = unflatten_params(spec, theta)
     return spec, params, int(header["seed"]), int(header["epoch"])

@@ -271,7 +271,6 @@ class KfacState:
     t_inv: int = 100
     factor_decay: float = 0.95
     damping_mode: str = "factored"
-    loss_kind: str = loss.CROSS_ENTROPY
     rng: np.random.Generator | None = None
     base_eta: float = field(init=False)
     step: int = 0
@@ -301,7 +300,8 @@ def kfac_step(
     coupling: Coupling = Coupling(),
     bn_state: nn.BnState | None = None,
 ) -> tuple[nn.NetworkParams, float]:
-    """One K-FAC step on an (inputs, targets) batch: (new params, batch loss).
+    """One K-FAC step on an (inputs, integer labels) batch under
+    cross-entropy: (new params, batch loss).
 
     One train-mode forward serves the loss, its gradient and, when due, the
     factor statistics; each inversion appends the layers' factor spectra to
@@ -320,15 +320,13 @@ def kfac_step(
 
     logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
     if state.step % state.t_stats == 0:
-        fresh = curvature.estimate_kfac_factors(
-            state.metric, spec, params, trace, loss_kind=state.loss_kind, rng=state.rng
-        )
+        fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
         curvature.invert_factors(state.factors, state.lam, state.damping_mode)
         state.health.append((state.step, state.factors.spectra))
 
-    value, dl_dz = loss.loss_and_grad(state.loss_kind, logits, targets)
+    value, dl_dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, targets)
     s_grads, _ = nn.vjp(spec, params, trace, dl_dz)
 
     mask = coupling.layer_mask(spec.n_layers)

@@ -312,6 +312,9 @@ def mechanism3(out_dir, seed=M3_SEED, make_plots=True):
                for arm in runs}
     damping = {arm: M3_LAM * norms[arm] ** 2 / (precond[arm] / n_params)
                for arm in runs}
+    # the same ratio as the optimizer saw it, from its own factors at each inversion
+    kfac_damping = {arm: [[step, spectra[layer].damping_ratio] for step, spectra in run.kfac_health]
+                    for arm, run in runs.items()}
 
     ft = fisher["fisher_wd"]
     gt = gn["fisher_wd"]
@@ -346,6 +349,7 @@ def mechanism3(out_dir, seed=M3_SEED, make_plots=True):
         "fisher_trace_series": {arm: fisher[arm].tolist() for arm in runs},
         "gn_trace_series": {arm: gn[arm].tolist() for arm in runs},
         "damping_ratio_series": {arm: damping[arm].tolist() for arm in runs},
+        "kfac_damping_ratio_series": kfac_damping,
         "fisher_decay_factor": fisher_decay,
         "gn_change_factor": gn_change,
         "fisher_decay_exceeds_gn_change": bool(fisher_decay >= gn_change),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as config_mod
-from . import data, diagnostics, loss, nn, optim
+from . import curvature, data, diagnostics, loss, nn, optim
 from .errors import DomainError, TrainingDiverged
 
 
@@ -47,6 +47,7 @@ class RunResult:
     out_dir: str
     metrics_path: str
     checkpoint_path: str
+    kfac_health: list[tuple[int, list[curvature.FactorSpectrum]]]  # empty unless K-FAC
 
     @property
     def final(self) -> diagnostics.MetricRecord:
@@ -241,7 +242,7 @@ def train(
             diagnostics.write_kfac_health(health_path, opt_state.health)
 
     checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.bin")
-    nn.save_checkpoint(checkpoint_path, spec, params, cfg.seed, cfg.epochs, fmt="binary")
+    nn.save_checkpoint(checkpoint_path, spec, params, cfg.seed, cfg.epochs)
     return RunResult(
         config=cfg,
         spec=spec,
@@ -251,6 +252,7 @@ def train(
         out_dir=cfg.out_dir,
         metrics_path=metrics_path,
         checkpoint_path=checkpoint_path,
+        kfac_health=opt_state.health if isinstance(opt_state, optim.KfacState) else [],
     )
 
 
@@ -280,12 +282,11 @@ def _cell_dir(base_out: str, eta: float, beta: float) -> str:
 
 def _run_cell(args) -> CellResult:
     cfg, eta, beta = args
-    cell_cfg = dataclasses.replace(
-        cfg, eta=eta, beta=beta, out_dir=_cell_dir(cfg.out_dir, eta, beta)
-    )
-    if eta * beta >= 1.0:
-        return CellResult(eta, beta, "rejected", float("nan"), cell_cfg.out_dir,
+    out_dir = _cell_dir(cfg.out_dir, eta, beta)
+    if eta * beta >= 1.0:  # before the config, which would refuse it
+        return CellResult(eta, beta, "rejected", float("nan"), out_dir,
                           detail="eta*beta >= 1 would flip the decayed weights")
+    cell_cfg = dataclasses.replace(cfg, eta=eta, beta=beta, out_dir=out_dir)
     try:
         result = train(cell_cfg)
     except TrainingDiverged as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, data, diagnostics, linalg, loss, nn, optim
+from . import curvature, data, diagnostics, loss, nn, optim
 from .errors import DegenerateError
 
 RESAMPLE_TRIES = 80
@@ -238,11 +238,9 @@ def check_bn_scale_invariance(trials: int = 100, seed: int = 0) -> CheckReport:
     return _report("bn_scale_invariance", trials, worst, 1e-9, seed)
 
 
-def _layer_block(spec, params, x, kind, rng):
+def _layer_block(spec, params, x, kind):
     """Dense curvature block of layer 0 in train mode."""
-    dense = curvature.dense_curvature(
-        kind, spec, params, x, loss_kind=loss.CROSS_ENTROPY, rng=rng
-    )
+    dense = curvature.dense_curvature(kind, spec, params, x)
     sl = nn.layer_slices(spec)[0]
     return dense[sl, sl]
 
@@ -270,10 +268,10 @@ def _normalized_step_discrepancy(spec, params, x, y, eta, lam):
     )
     d_sgd = float(np.linalg.norm(actual - ref))
 
-    block = _layer_block(spec, params, x, curvature.GAUSS_NEWTON, None)
+    block = _layer_block(spec, params, x, curvature.GAUSS_NEWTON)
     damped = np.linalg.solve(block + lam * np.eye(block.shape[0]), g0.ravel())
     actual_ng = (w0.ravel() - eta * damped) / np.linalg.norm(w0.ravel() - eta * damped)
-    block_hat = _layer_block(spec, scaled, x, curvature.GAUSS_NEWTON, None)
+    block_hat = _layer_block(spec, scaled, x, curvature.GAUSS_NEWTON)
     ref_ng = optim.reference_normalized_kfac_step(
         theta_hat, norm, block_hat, lam, g_hat, eta, renormalize=False
     )
@@ -325,8 +323,8 @@ def check_curvature_scaling(trials: int = 100, seed: int = 0) -> CheckReport:
             raise DegenerateError("could not sample BN units with variance headroom")
         scaled = nn.scale_layer(params, 0, alpha)
         for kind in (curvature.FISHER_EXACT, curvature.GAUSS_NEWTON):
-            base = _layer_block(spec, params, x, kind, None)
-            moved = _layer_block(spec, scaled, x, kind, None)
+            base = _layer_block(spec, params, x, kind)
+            moved = _layer_block(spec, scaled, x, kind)
             worst = max(worst, _rel(moved, base / alpha**2))
     return _report("curvature_block_scaling", trials, worst, 1e-8, seed)
 

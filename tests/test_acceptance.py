@@ -121,6 +121,14 @@ def test_criterion_5_damping_mechanism(mechanism3_run):
     no_wd = np.array(summary["damping_ratio_series"]["fisher_base"])
     with_wd = np.array(summary["damping_ratio_series"]["fisher_wd"])
     assert (no_wd[mid:] > with_wd[mid:]).all()
+    # the optimizer's own ratio at every inversion: 30 epochs of 40 steps,
+    # inverted every 100 steps
+    kfac = summary["kfac_damping_ratio_series"]
+    assert sorted(kfac) == ["fisher_base", "fisher_wd", "gn_base", "gn_wd"]
+    for series in kfac.values():
+        steps, ratios = zip(*series)
+        assert list(steps) == list(range(0, 1200, 100))
+        assert all(np.isfinite(r) and r > 0 for r in ratios)
     assert summary["passed"]
 
 

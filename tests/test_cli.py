@@ -75,11 +75,13 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("optimizer.momentum=0.9", "momentum"),
     ("diagnostics.probe=31", "probe size"),
     ("diagnostics.trace=1", "trace size"),
+    ("optimizer.factor_decay=1.5", "factor decay"),
+    ("coupling.beta=20", "eta * beta"),
 ])
 def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, override, message):
     out_dir = tmp_path / "run"
     ini = write_ini(tmp_path, tiny_config(out_dir, optimizer="adam", batchnorm=True,
-                                          trace_layers=(0,), trace_size=4))
+                                          coupling="l2", trace_layers=(0,), trace_size=4))
     code = cli.main(["train", "--config", str(ini), "--set", override])
     assert code == 2
     assert message in capsys.readouterr().err
@@ -167,8 +169,9 @@ def test_diag_command_reads_checkpoint(tmp_path, capsys):
 
 def test_diag_matches_recorded_metrics(tmp_path, capsys):
     # A bias-free net without batch norm has no hidden evaluation state, so
-    # the recomputed record must agree with what training logged.
-    ini = write_ini(tmp_path, tiny_config(tmp_path / "run"))
+    # the recomputed record must agree with what training logged, including
+    # the learning rate the schedule had dropped to by the last epoch.
+    ini = write_ini(tmp_path, tiny_config(tmp_path / "run", epochs=3, schedule=(1, 2)))
     assert cli.main(["train", "--config", str(ini)]) == 0
     capsys.readouterr()
     code = cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")])
@@ -177,3 +180,4 @@ def test_diag_matches_recorded_metrics(tmp_path, capsys):
     final = diagnostics.load_metrics(tmp_path / "run" / "metrics.csv")[-1]
     assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
     assert payload["jacobian_norm"] == pytest.approx(final.jacobian_norm, rel=1e-12)
+    assert payload["effective_lrs"] == pytest.approx(final.effective_lrs, rel=1e-12)

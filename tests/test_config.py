@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from wdlab import config, optim
-from wdlab.errors import DataFormatError, DomainError
+from wdlab.errors import DataFormatError, DomainError, InstabilityError
 
 
 def test_defaults_are_desk_scale():
@@ -57,10 +57,18 @@ def test_validation_rejects_bad_fields():
     (dict(n_train=150, batch_size=50, trace_layers=(0,), trace_size=151), "trace size"),
     (dict(batchnorm=True, trace_layers=(0,), trace_size=1), "trace size"),
     (dict(trace_layers=(1,), trace_size=0), "trace size"),
+    (dict(optimizer="kfac_gn", factor_decay=1.0), "factor decay"),
+    (dict(optimizer="kfac_gn", factor_decay=-0.1), "factor decay"),
 ])
 def test_validation_rejects_inconsistent_run_settings(fields, message):
     with pytest.raises(DomainError, match=message):
         config.ExperimentConfig(**fields)
+
+
+@pytest.mark.parametrize("mode", ["l2", "weight_decay"])
+def test_validation_rejects_unstable_decay(mode):
+    with pytest.raises(InstabilityError, match="eta"):
+        config.ExperimentConfig(eta=0.1, coupling=mode, beta=10.0)
 
 
 def test_validation_accepts_the_boundary_cases():
@@ -69,6 +77,9 @@ def test_validation_accepts_the_boundary_cases():
     config.ExperimentConfig(n_train=150, n_test=0, batch_size=50, probe_size=150)
     config.ExperimentConfig(batchnorm=True, trace_layers=(0,), trace_size=2)
     config.ExperimentConfig(trace_layers=(0,), trace_size=1)
+    config.ExperimentConfig(optimizer="kfac_gn", factor_decay=0.0)
+    config.ExperimentConfig(eta=0.1, coupling="l2", beta=9.99)
+    config.ExperimentConfig(eta=0.1, coupling="none", beta=20.0)  # beta unused
     # sizes of probes that are switched off are not checked
     config.ExperimentConfig(n_train=150, batch_size=50, trace_size=1000)
 

@@ -196,7 +196,7 @@ def test_gen_synthetic_whitening_needs_enough_samples():
 def test_gen_synthetic_custom_teacher_shape_check():
     teacher = nn.mlp([4, 8, 3], activation="relu", bias=False)
     ds = data.gen_synthetic(500, 4, 3, teacher=teacher, seed=3)
-    assert ds.d == 4 and ds.n_classes == 3
+    assert ds.x.shape[1] == 4 and ds.n_classes == 3
     with pytest.raises(ShapeError):
         data.gen_synthetic(100, 5, 3, teacher=teacher, seed=3)
 

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import curvature, diagnostics, loss, nn
+from wdlab import curvature, diagnostics, nn
 from wdlab.errors import ContractError, DegenerateError, DomainError, ShapeError
 
 from helpers import central_diff_jacobian, random_net
@@ -163,15 +163,6 @@ def test_norm_transfer_refuses_uncovered_layer():
     # the output layer carries no BN, so rescaling it changes the function
     with pytest.raises(ContractError):
         diagnostics.norm_transfer(spec, params, (1.0, 1.0, 1.0), (False, False, True))
-
-
-def test_norm_transfer_strict_false_rescales_anyway():
-    rng = np.random.default_rng(12)
-    spec, params = _bn_net(rng)
-    out = diagnostics.norm_transfer(
-        spec, params, (1.0, 1.0, 2.0), (False, False, True), strict=False
-    )
-    npt.assert_allclose(np.linalg.norm(out.weights[2]), 2.0, rtol=1e-12)
 
 
 def test_norm_transfer_validates_reference_norms_and_shapes():

@@ -7,6 +7,8 @@ ReLU cases assert a margin between every activation input and zero so the
 finite-difference probes never cross a kink.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,9 +312,6 @@ def test_param_jacobian_respects_capacity_cap():
     _, trace = nn.forward(spec, params, np.zeros((1, 100)), mode="eval")
     with pytest.raises(CapacityError):
         nn.param_jacobian(spec, params, trace)
-    # and a custom cap lets it through
-    jac = nn.param_jacobian(spec, params, trace, cap=30000)
-    assert jac.shape == (1, 10, spec.n_params)
 
 
 # --- parameter vector plumbing ----------------------------------------------
@@ -399,13 +398,13 @@ def test_init_params_is_seed_deterministic_and_shaped():
 # --- checkpoints ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("fmt", ["binary"])
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, fmt):
     rng = np.random.default_rng(16)
     spec = nn.NetworkSpec((4, 6, 3), use_bn=(True,), use_bias=False)
     params = nn.init_params(spec, rng)
     path = tmp_path / f"ckpt.{fmt}"
-    nn.save_checkpoint(path, spec, params, seed=123, epoch=7, fmt=fmt)
+    nn.save_checkpoint(path, spec, params, seed=123, epoch=7)
     spec2, params2, seed, epoch = nn.load_checkpoint(path)
     assert spec2 == spec
     assert (seed, epoch) == (123, 7)
@@ -450,5 +449,12 @@ def test_checkpoint_reports_corruption_with_offsets(tmp_path):
 def test_checkpoint_rejects_unknown_format(tmp_path):
     rng = np.random.default_rng(19)
     spec = nn.mlp((2, 2))
-    with pytest.raises(DomainError):
-        nn.save_checkpoint(tmp_path / "x", spec, nn.init_params(spec, rng), 0, 0, fmt="xml")
+    path = tmp_path / "ckpt.bin"
+    nn.save_checkpoint(path, spec, nn.init_params(spec, rng), 0, 0)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    assert doc["format"] == "binary"
+    doc["format"] = "text"
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    with pytest.raises(DataFormatError, match="format"):
+        nn.load_checkpoint(path)

@@ -180,26 +180,33 @@ def rigged_kfac_state(spec, a, s, lam, eta, **kw):
 
 
 def test_kfac_scalar_example_l2_vs_weight_decay():
-    # single 1x1 linear layer, squared error; pick data with E[x^2]=2 so the
-    # input factor is A=[[2]], and targets making the loss gradient 4
-    spec = nn.mlp((1, 1), activation=nn.IDENTITY)
+    # one scalar input into two outputs (one-class cross-entropy has no
+    # gradient); E[x^2]=2 makes the input factor A=[[2]], and the GN factor
+    # of a single linear layer sums the identity output seeds, S=I
+    spec = nn.mlp((1, 2), activation=nn.IDENTITY)
     x = np.array([[np.sqrt(2.0)], [-np.sqrt(2.0)]])
-    # logits = w*x; grad wrt w of mean 0.5(wx - t)^2 = mean (wx-t)x; want 4
-    # with w=1: mean(x^2) - mean(t x) = 2 - mean(t x) = 4 -> mean(t x) = -2
-    t = np.array([[-np.sqrt(2.0)], [np.sqrt(2.0)]])
-    lam = 1e-12
+    y = np.array([0, 0])
+    w = np.array([[1.0], [-0.5]])
+    eta, beta, a_factor = 0.1, 0.5, 2.0
+    probs = loss.softmax(x @ w.T)
+    grad = (probs - np.eye(2)[y]).T @ x / 2  # mean cross-entropy gradient
+    assert np.linalg.norm(grad) > 0.1
+    # S^-1 V A^-1 with S=I, A=[[2]]: l2 preconditions beta*W with the
+    # gradient, weight decay shrinks W by eta*beta outside the preconditioner
+    expected = {"l2": w - eta * (grad + beta * w) / a_factor,
+                "weight_decay": w - eta * grad / a_factor - eta * beta * w}
 
-    for mode, expected in (("l2", 0.775), ("weight_decay", 0.75)):
+    for mode in ("l2", "weight_decay"):
         state = optim.KfacState(
-            metric="gn", eta=0.1, lam=lam, t_stats=1, t_inv=1, factor_decay=0.0,
-            loss_kind=loss.SQUARED_ERROR,
+            metric="gn", eta=eta, lam=1e-12, t_stats=1, t_inv=1, factor_decay=0.0,
         )
-        params = scalar_params(1.0)
         new, _ = optim.kfac_step(
-            state, spec, params, (x, t), optim.Coupling(mode, beta=0.5)
+            state, spec, nn.NetworkParams(weights=[w.copy()]), (x, y),
+            optim.Coupling(mode, beta=beta),
         )
-        # S=[[1]] for squared error (identity output seed), A=[[2]]
-        assert_allclose(new.weights[0], [[expected]], rtol=1e-5)
+        assert_allclose(state.factors.a_factors[0], [[a_factor]], rtol=1e-14)
+        assert_allclose(state.factors.s_factors[0], np.eye(2), rtol=1e-14)
+        assert_allclose(new.weights[0], expected[mode], rtol=1e-5)
 
 
 def test_kfac_identity_preconditioner_reduces_to_sgd():
@@ -207,17 +214,16 @@ def test_kfac_identity_preconditioner_reduces_to_sgd():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # A = I/2... no:
     # mean of e_i e_i^T over these four rows is I/2; use scaled rows for A = I
     x = np.sqrt(2.0) * x
-    t = np.zeros((4, 2))
+    y = np.array([0, 1, 1, 0])
     state = optim.KfacState(
         metric="gn", eta=0.05, lam=1e-10, t_stats=1, t_inv=1, factor_decay=0.0,
-        loss_kind=loss.SQUARED_ERROR,
     )
     rng = np.random.default_rng(3)
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 2))])
-    new, _ = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
+    new, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
     # S = I too (identity seeds, linear single layer), so the step is plain SGD
     logits, trace = nn.forward(spec, params, x)
-    _, dz = loss.loss_and_grad(loss.SQUARED_ERROR, logits, t)
+    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
     g = nn.backward(spec, params, trace, dz).weight_grads[0]
     assert_allclose(new.weights[0], params.weights[0] - 0.05 * g, rtol=1e-4)
 
@@ -230,16 +236,16 @@ def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
     spec = nn.mlp((4, 3, 2), activation=nn.IDENTITY)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(20, 4))
-    t = rng.normal(size=(20, 2))
+    y = rng.integers(0, 2, size=20)
     lam = 1e-3
     state = optim.KfacState(
         metric="gn", eta=1e-4, lam=lam, t_stats=1, t_inv=1, factor_decay=0.0,
-        damping_mode=damping, loss_kind=loss.SQUARED_ERROR,
+        damping_mode=damping,
     )
-    new, _ = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
+    new, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
 
     logits, trace = nn.forward(spec, params, x)
-    _, dz = loss.loss_and_grad(loss.SQUARED_ERROR, logits, t)
+    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
     result = nn.backward(spec, params, trace, dz)
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
     slices = nn.layer_slices(spec)
@@ -253,18 +259,17 @@ def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
 
 def test_kfac_couplings_differ_with_anisotropic_preconditioner():
     rng = np.random.default_rng(5)
-    spec = nn.mlp((2, 1), activation=nn.IDENTITY)
+    spec = nn.mlp((2, 2), activation=nn.IDENTITY)
     x = rng.normal(size=(50, 2)) @ np.diag([3.0, 0.2])  # anisotropic inputs
-    t = rng.normal(size=(50, 1))
+    y = rng.integers(0, 2, size=50)
     outs = {}
     for mode in ("l2", "weight_decay"):
         state = optim.KfacState(
             metric="gn", eta=0.1, lam=1e-3, t_stats=1, t_inv=1, factor_decay=0.0,
-            loss_kind=loss.SQUARED_ERROR,
         )
-        params = nn.NetworkParams(weights=[np.array([[1.0, 1.0]])])
+        params = nn.NetworkParams(weights=[np.array([[1.0, 1.0], [0.5, -1.0]])])
         new, _ = optim.kfac_step(
-            state, spec, params, (x, t), optim.Coupling(mode, beta=0.3)
+            state, spec, params, (x, y), optim.Coupling(mode, beta=0.3)
         )
         outs[mode] = new.weights[0]
     assert not np.allclose(outs["l2"], outs["weight_decay"], rtol=1e-6)
@@ -275,14 +280,11 @@ def test_kfac_refresh_cadence():
     spec = nn.mlp((3, 2), activation=nn.IDENTITY)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(8, 3))
-    t = rng.normal(size=(8, 2))
-    state = optim.KfacState(
-        metric="gn", eta=1e-3, lam=1e-2, t_stats=2, t_inv=4,
-        loss_kind=loss.SQUARED_ERROR,
-    )
+    y = rng.integers(0, 2, size=8)
+    state = optim.KfacState(metric="gn", eta=1e-3, lam=1e-2, t_stats=2, t_inv=4)
     snapshots = []
     for _ in range(5):
-        params, _ = optim.kfac_step(state, spec, params, (x, t), optim.Coupling())
+        params, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
         snapshots.append([a.copy() for a in state.factors.a_factors])
     # steps 0,2,4 refresh stats; steps 1,3 keep them frozen
     assert np.array_equal(snapshots[0][0], snapshots[1][0])
@@ -343,7 +345,7 @@ def full_route_kfac_step(state, spec, params, batch, coupling):
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
         curvature.invert_factors(state.factors, state.lam, state.damping_mode)
-    _, dz = loss.loss_and_grad(state.loss_kind, logits, y)
+    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
     result = nn.backward(spec, params, trace, dz)
     mask = coupling.layer_mask(spec.n_layers)
     new = params.copy()

@@ -155,6 +155,10 @@ def test_kfac_run_writes_health_log(tmp_path):
         assert 0.0 < float(r["damping_ratio"]) < float("inf")
         assert float(r["a_eig_min"]) <= float(r["a_eig_max"])
         assert float(r["s_eig_min"]) <= float(r["s_eig_max"])
+    # the run result carries the same log
+    assert [(step, l, float(sp.damping_ratio)) for step, spectra in result.kfac_health
+            for l, sp in enumerate(spectra)] == [
+        (int(r["step"]), int(r["layer"]), float(r["damping_ratio"])) for r in rows]
 
 
 def test_sgd_run_writes_no_health_log(tmp_path):
@@ -163,6 +167,7 @@ def test_sgd_run_writes_no_health_log(tmp_path):
     # rerunning the directory with SGD removes the stale K-FAC log
     result = training.train(tiny_config(tmp_path))
     assert not os.path.exists(os.path.join(result.out_dir, "kfac_health.csv"))
+    assert result.kfac_health == [] and len(kfac.kfac_health) == 1  # one inversion, step 0
 
 
 def test_manifest_names_config_seed_and_environment(tmp_path, monkeypatch):

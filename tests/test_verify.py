@@ -1,6 +1,3 @@
-import dataclasses
-
-import numpy as np
 import pytest
 
 from wdlab import nn, verify
