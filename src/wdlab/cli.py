@@ -119,17 +119,11 @@ def _cmd_diag(args) -> int:
     cfg = config_mod.load_config(cfg_path)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    dataset = training.build_dataset(cfg)
-    x_train, y_train = dataset.split("train")
-    x_test, y_test = dataset.split("test")
-    if x_test.shape[0] == 0:
-        x_test, y_test = x_train, y_train
-    probe_x = x_test[:cfg.probe_size] if cfg.probe_size else None
-    trace_x = x_train[:cfg.trace_size] if cfg.trace_layers else None
+    train, test, probe_x, trace_x = training.measured_inputs(cfg, training.build_dataset(cfg))
     # the rate train records epoch `epoch` at: the one its last epoch stepped with
     eta = optim.apply_lr_schedule(training.make_optimizer(cfg), epoch - 1).eta
     record = diagnostics.record_metrics(
-        epoch, spec, params, eta, (x_train, y_train), (x_test, y_test),
+        epoch, spec, params, eta, train, test,
         probe_x=probe_x, trace_x=trace_x, trace_layers=tuple(cfg.trace_layers))
     payload = dataclasses.asdict(record)
     payload["checkpoint"] = str(ckpt)

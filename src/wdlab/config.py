@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise InstabilityError(
                 f"eta * beta = {self.eta * self.beta:.3g} >= 1 would flip or kill the weights"
             )
+        if min(self.probe_size, self.trace_size) < 0:
+            raise DomainError(f"negative probe or trace size: {self.probe_size}, {self.trace_size}")
         probe_pool = self.n_test or self.n_train  # the test split, else train
         if self.probe_size > probe_pool:
             raise DomainError(f"probe size {self.probe_size} exceeds its {probe_pool}-row split")

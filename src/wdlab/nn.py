@@ -3,10 +3,10 @@
 Fully-connected layers with ReLU or identity activation, optional batch
 normalization on hidden pre-activations (never on the output layer), and an
 optional bias term.  The forward pass captures every intermediate needed by
-backprop and Kronecker-factor estimation; backward differentiates exactly,
-including the batch statistics' dependence on the weights.  `vjp` propagates
-a whole stack of seeds in one pass, which is how every per-output and
-per-example quantity (Jacobians, curvature probes) is computed.
+backprop and Kronecker-factor estimation.  `vjp`, the one backward, is exact
+(BN included) and propagates a whole stack of seeds in one pass; it returns
+pre-activation gradients ds_l, from which a weight gradient is ds_l^T a_l and
+a bias gradient the column sums of ds_l.
 
 Conventions fixed here and relied on everywhere else:
   * weight matrices are out x in; s_l = a_l @ W_l.T (+ b_l),
@@ -187,16 +187,6 @@ class ForwardTrace:
     logits: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-@dataclass
-class BackwardResult:
-    """Gradients of the scalar seeded at the logits: per-layer weight (and
-    bias) gradients and per-example pre-activation gradients."""
-
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray] | None
-    s_grads: list[np.ndarray]
-
-
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkParams:
     """Zero-mean Gaussian init, std sqrt(2/in) for ReLU and sqrt(1/in) otherwise."""
     gain = 2.0 if spec.activation == RELU else 1.0
@@ -340,25 +330,6 @@ def vjp(
             ds = dz
     s_grads[lowest] = ds
     return s_grads, (ds @ params.weights[0] if inputs else None)
-
-
-def backward(
-    spec: NetworkSpec,
-    params: NetworkParams,
-    trace: ForwardTrace,
-    dl_dlogits,
-) -> BackwardResult:
-    """Weight, bias and pre-activation gradients of the scalar whose logit
-    gradient is `dl_dlogits` (n x k)."""
-    g = np.asarray(dl_dlogits, dtype=np.float64)
-    if g.shape != trace.logits.shape:
-        raise ShapeError(f"seed shape {g.shape} != logits shape {trace.logits.shape}")
-    s_grads, _ = vjp(spec, params, trace, g)
-    return BackwardResult(
-        weight_grads=[ds.T @ a for ds, a in zip(s_grads, trace.layer_inputs)],
-        bias_grads=[ds.sum(axis=0) for ds in s_grads] if spec.use_bias else None,
-        s_grads=s_grads,
-    )
 
 
 def seed_chunks(count: int, rows_each: int) -> list[slice]:

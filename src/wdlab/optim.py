@@ -8,13 +8,17 @@ Couplings:
   weight_decay  masked weights are shrunk by eta * beta in the same update,
                 untouched by the preconditioner
 
+The coupling, the layer mask and the bias are applied in one place,
+`_update`; SGD, Adam and K-FAC differ only in the direction they take from
+a layer's gradient, the (ds, a) pair of `nn.vjp` (weight gradient ds^T a,
+bias gradient the column sums of ds).  Every layer moves as the out x in(+1)
+matrix [W b], the layout of K-FAC's factors.  Decay only ever touches W;
+bias vectors always take the plain step.
+
 For momentum-free SGD the two couplings are mathematically identical; both
 are routed through literally the same arithmetic so trajectories agree to
 the last bit.  For Adam and K-FAC they genuinely differ whenever the
 preconditioner is not a multiple of the identity.
-
-Decay only ever touches weight matrices; bias vectors always take the plain
-gradient step.
 """
 
 from __future__ import annotations
@@ -85,12 +89,6 @@ def _check_decay_stability(eta: float, coupling: Coupling) -> None:
         )
 
 
-def _extract_grads(grads) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-    if hasattr(grads, "weight_grads"):
-        return grads.weight_grads, grads.bias_grads
-    return list(grads), None
-
-
 # --- learning-rate schedule -------------------------------------------------
 
 
@@ -108,6 +106,43 @@ def _normalize_schedule(schedule) -> tuple[int, ...]:
     return sched
 
 
+# --- the one update rule ----------------------------------------------------
+
+
+def _update(state, params: nn.NetworkParams, grads, coupling: Coupling, direction=None):
+    """Move each layer's [W b] by -eta * direction(l, grad) under the coupling.
+
+    grads[l] is layer l's (ds, a) pair; grad is the formed [ds^T a, ds summed
+    over rows], but K-FAC gets the pair unless l2 makes it full rank.  l2 adds
+    beta [W 0] before the direction, weight_decay subtracts eta beta [W 0]
+    after it.  direction=None is momentum-free SGD, whose step is grad; there
+    l2 runs as weight_decay, the same update, so the two agree bit for bit."""
+    _check_decay_stability(state.eta, coupling)
+    mask = coupling.layer_mask(len(params.weights))
+    bias = params.biases is not None
+    new = nn.NetworkParams(weights=[], biases=[] if bias else None)
+    for l, (ds, a) in enumerate(grads):
+        w = params.weights[l]
+        cols = slice(0, w.shape[1])
+        beta = coupling.beta if coupling.mode != COUPLING_NONE and mask[l] else 0.0
+        l2 = beta != 0.0 and coupling.mode == COUPLING_L2 and direction is not None
+        grad = (ds, a)
+        if l2 or not isinstance(state, KfacState):
+            grad = ds.T @ a
+            if bias:
+                grad = np.hstack([grad, ds.sum(axis=0)[:, None]])
+            if l2:
+                grad[:, cols] += beta * w
+        step = grad if direction is None else direction(l, grad)
+        moved = (np.hstack([w, params.biases[l][:, None]]) if bias else w) - state.eta * step
+        if beta != 0.0 and not l2:
+            moved[:, cols] -= (state.eta * beta) * w
+        new.weights.append(moved[:, cols].copy() if bias else moved)
+        if bias:
+            new.biases.append(moved[:, -1].copy())
+    return new
+
+
 # --- SGD --------------------------------------------------------------------
 
 
@@ -117,8 +152,7 @@ class SgdState:
     schedule: tuple[int, ...] = ()
     momentum: float = 0.0
     base_eta: float = field(init=False)
-    velocities: list[np.ndarray] | None = None
-    bias_velocities: list[np.ndarray] | None = None
+    velocities: list[np.ndarray] | None = None  # [W b] layout
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -135,47 +169,20 @@ def sgd_step(
     grads,
     coupling: Coupling = Coupling(),
 ) -> nn.NetworkParams:
-    """One SGD step.  With zero momentum both couplings share one code path:
-    W - eta*g - (eta*beta)*W, which is what makes their trajectories
-    bit-identical; with momentum the l2 term feeds the velocity buffer while
-    weight decay stays outside it."""
-    _check_decay_stability(state.eta, coupling)
-    wgrads, bgrads = _extract_grads(grads)
-    n_layers = len(params.weights)
-    mask = coupling.layer_mask(n_layers)
-    eta = state.eta
-    new = params.copy()
-
+    """One SGD step on per-layer (ds, a) gradient pairs.  Without momentum
+    both couplings share one code path, W - eta*g - (eta*beta)*W, which is
+    what makes their trajectories bit-identical; with momentum the l2 term
+    feeds the velocity buffer while weight decay stays outside it."""
     if state.momentum == 0.0:
-        for l in range(n_layers):
-            step = eta * wgrads[l]
-            if coupling.mode != COUPLING_NONE and mask[l] and coupling.beta != 0.0:
-                new.weights[l] = params.weights[l] - step - (eta * coupling.beta) * params.weights[l]
-            else:
-                new.weights[l] = params.weights[l] - step
-    else:
-        if state.velocities is None:
-            state.velocities = [np.zeros_like(w) for w in params.weights]
-        for l in range(n_layers):
-            g = wgrads[l]
-            if coupling.mode == COUPLING_L2 and mask[l] and coupling.beta != 0.0:
-                g = g + coupling.beta * params.weights[l]
-            state.velocities[l] = state.momentum * state.velocities[l] + g
-            new.weights[l] = params.weights[l] - eta * state.velocities[l]
-            if coupling.mode == COUPLING_WD and mask[l] and coupling.beta != 0.0:
-                new.weights[l] = new.weights[l] - (eta * coupling.beta) * params.weights[l]
+        return _update(state, params, grads, coupling)
+    if state.velocities is None:
+        state.velocities = [0.0] * len(params.weights)  # [W b]-shaped once stepped
 
-    if bgrads is not None and new.biases is not None:
-        if state.momentum == 0.0:
-            for l in range(n_layers):
-                new.biases[l] = params.biases[l] - eta * bgrads[l]
-        else:
-            if state.bias_velocities is None:
-                state.bias_velocities = [np.zeros_like(b) for b in params.biases]
-            for l in range(n_layers):
-                state.bias_velocities[l] = state.momentum * state.bias_velocities[l] + bgrads[l]
-                new.biases[l] = params.biases[l] - eta * state.bias_velocities[l]
-    return new
+    def velocity(l, g):
+        state.velocities[l] = state.momentum * state.velocities[l] + g
+        return state.velocities[l]
+
+    return _update(state, params, grads, coupling, velocity)
 
 
 # --- Adam -------------------------------------------------------------------
@@ -190,10 +197,8 @@ class AdamState:
     eps: float = 1e-8
     base_eta: float = field(init=False)
     step: int = 0
-    m: list[np.ndarray] | None = None
+    m: list[np.ndarray] | None = None  # [W b] layout, like v
     v: list[np.ndarray] | None = None
-    m_bias: list[np.ndarray] | None = None
-    v_bias: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -210,43 +215,22 @@ def adam_step(
     grads,
     coupling: Coupling = Coupling(),
 ) -> nn.NetworkParams:
-    """One Adam step with bias-corrected moments.  l2 feeds beta*W into the
-    moments; weight_decay shrinks masked weights by eta*beta outside the
-    adaptive machinery."""
-    _check_decay_stability(state.eta, coupling)
-    wgrads, bgrads = _extract_grads(grads)
-    n_layers = len(params.weights)
-    mask = coupling.layer_mask(n_layers)
+    """One Adam step with bias-corrected moments on per-layer (ds, a)
+    gradient pairs.  l2 feeds beta*W into the moments; weight_decay shrinks
+    masked weights by eta*beta outside the adaptive machinery."""
     if state.m is None:
-        state.m = [np.zeros_like(w) for w in params.weights]
-        state.v = [np.zeros_like(w) for w in params.weights]
-    state.step += 1
-    t = state.step
+        state.m, state.v = [0.0] * len(params.weights), [0.0] * len(params.weights)
+    t = state.step + 1
     corr1 = 1.0 - state.beta1**t
     corr2 = 1.0 - state.beta2**t
-    eta = state.eta
-    new = params.copy()
-    for l in range(n_layers):
-        g = wgrads[l]
-        if coupling.mode == COUPLING_L2 and mask[l] and coupling.beta != 0.0:
-            g = g + coupling.beta * params.weights[l]
+
+    def moments(l, g):
         state.m[l] = state.beta1 * state.m[l] + (1 - state.beta1) * g
         state.v[l] = state.beta2 * state.v[l] + (1 - state.beta2) * g * g
-        direction = (state.m[l] / corr1) / (np.sqrt(state.v[l] / corr2) + state.eps)
-        new.weights[l] = params.weights[l] - eta * direction
-        if coupling.mode == COUPLING_WD and mask[l] and coupling.beta != 0.0:
-            new.weights[l] = new.weights[l] - (eta * coupling.beta) * params.weights[l]
+        return (state.m[l] / corr1) / (np.sqrt(state.v[l] / corr2) + state.eps)
 
-    if bgrads is not None and new.biases is not None:
-        if state.m_bias is None:
-            state.m_bias = [np.zeros_like(b) for b in params.biases]
-            state.v_bias = [np.zeros_like(b) for b in params.biases]
-        for l in range(n_layers):
-            g = bgrads[l]
-            state.m_bias[l] = state.beta1 * state.m_bias[l] + (1 - state.beta1) * g
-            state.v_bias[l] = state.beta2 * state.v_bias[l] + (1 - state.beta2) * g * g
-            direction = (state.m_bias[l] / corr1) / (np.sqrt(state.v_bias[l] / corr2) + state.eps)
-            new.biases[l] = params.biases[l] - eta * direction
+    new = _update(state, params, grads, coupling, moments)
+    state.step = t
     return new
 
 
@@ -305,15 +289,11 @@ def kfac_step(
 
     One train-mode forward serves the loss, its gradient and, when due, the
     factor statistics; each inversion appends the layers' factor spectra to
-    `state.health`.  The gradient is preconditioned per layer by the stored
-    damped factor inverses; l2 adds beta*W to the gradient before
-    preconditioning while weight_decay subtracts eta*beta*W after.  A layer
-    without an l2 term hands the preconditioner the thin factors (ds, a) of
-    its rank-n gradient ds^T a, so the full gradient is never formed; a layer
-    with one forms ds^T a (with the bias column) and adds beta*W, which is
-    full rank.
+    `state.health`.  The direction is the gradient preconditioned by the
+    stored damped factor inverses, which take a layer's rank-n gradient as
+    its thin factors (ds, a) unless an l2 term made it full rank.
     """
-    _check_decay_stability(state.eta, coupling)
+    _check_decay_stability(state.eta, coupling)  # before the rng draws
     x, targets = batch
     if state.factors is None:
         state.factors = curvature.KfacFactors.zeros(spec)
@@ -329,33 +309,15 @@ def kfac_step(
     value, dl_dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, targets)
     s_grads, _ = nn.vjp(spec, params, trace, dl_dz)
 
-    mask = coupling.layer_mask(spec.n_layers)
-    eta = state.eta
-    new = params.copy()
-    for l in range(spec.n_layers):
-        ds, a = s_grads[l], trace.layer_inputs[l]
-        if coupling.mode == COUPLING_L2 and mask[l] and coupling.beta != 0.0:
-            grad = ds.T @ a
-            if spec.use_bias:
-                grad = np.hstack([grad, ds.sum(axis=0)[:, None]])
-                grad = grad + coupling.beta * np.hstack(
-                    [params.weights[l], np.zeros((grad.shape[0], 1))]
-                )
-            else:
-                grad = grad + coupling.beta * params.weights[l]
-        else:
-            grad = (ds, curvature._augment_inputs(spec, a))
+    def precondition(l, grad):
+        if isinstance(grad, tuple):  # the factors' a carries the column of ones
+            grad = (grad[0], curvature._augment_inputs(spec, grad[1]))
         pre = curvature.apply_preconditioner(state.factors, l, grad)
         if not np.all(np.isfinite(pre)):
             raise NumericalError(f"layer {l}: preconditioned gradient is not finite")
-        if spec.use_bias:
-            new.weights[l] = params.weights[l] - eta * pre[:, :-1]
-            new.biases[l] = params.biases[l] - eta * pre[:, -1]
-        else:
-            new.weights[l] = params.weights[l] - eta * pre
-        if coupling.mode == COUPLING_WD and mask[l] and coupling.beta != 0.0:
-            new.weights[l] = new.weights[l] - (eta * coupling.beta) * params.weights[l]
+        return pre
 
+    new = _update(state, params, list(zip(s_grads, trace.layer_inputs)), coupling, precondition)
     state.factors.steps_since_inversion += 1
     state.step += 1
     return new, value

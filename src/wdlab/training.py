@@ -137,10 +137,27 @@ def _minibatch_pass(spec, params, bn_state, opt_state, coupling, x, y):
         return optim.kfac_step(opt_state, spec, params, (x, y), coupling, bn_state=bn_state)
     logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
     value, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-    grads = nn.backward(spec, params, trace, dl)
+    s_grads, _ = nn.vjp(spec, params, trace, dl)
+    grads = list(zip(s_grads, trace.layer_inputs))
     if isinstance(opt_state, optim.SgdState):
         return optim.sgd_step(opt_state, params, grads, coupling), value
     return optim.adam_step(opt_state, params, grads, coupling), value
+
+
+def measured_inputs(cfg, dataset: data.Dataset, merge_val: bool = False):
+    """What a run measures at each epoch boundary: (train split, test split or
+    else train, probe rows heading that, trace rows heading train or None)."""
+    x_train, y_train = dataset.split("train")
+    if merge_val:
+        xv, yv = dataset.split("val")
+        x_train = np.concatenate([x_train, xv])
+        y_train = np.concatenate([y_train, yv])
+    x_test, y_test = dataset.split("test")
+    if x_test.shape[0] == 0:
+        x_test, y_test = x_train, y_train
+    probe_x = x_test[: cfg.probe_size] if cfg.probe_size > 0 else None
+    trace_x = x_train[: cfg.trace_size] if cfg.trace_layers else None
+    return (x_train, y_train), (x_test, y_test), probe_x, trace_x
 
 
 def train(
@@ -160,16 +177,8 @@ def train(
     coupling = cfg.coupling_obj()
     if dataset is None:
         dataset = build_dataset(cfg)
-    x_train, y_train = dataset.split("train")
-    if merge_val:
-        xv, yv = dataset.split("val")
-        x_train = np.concatenate([x_train, xv])
-        y_train = np.concatenate([y_train, yv])
-    x_test, y_test = dataset.split("test")
-    if x_test.shape[0] == 0:
-        x_test, y_test = x_train, y_train
-    probe_x = x_test[: cfg.probe_size] if cfg.probe_size > 0 else None
-    trace_x = x_train[: cfg.trace_size] if cfg.trace_layers else None
+    (x_train, y_train), (x_test, y_test), probe_x, trace_x = measured_inputs(
+        cfg, dataset, merge_val)
     if norm_plan is not None and norm_plan.norms_by_epoch.shape != (
         cfg.epochs + 1,
         spec.n_layers,
@@ -281,21 +290,18 @@ def _cell_dir(base_out: str, eta: float, beta: float) -> str:
 
 
 def _run_cell(args) -> CellResult:
-    cfg, eta, beta = args
+    cfg, eta, beta, dataset = args
     out_dir = _cell_dir(cfg.out_dir, eta, beta)
     if eta * beta >= 1.0:  # before the config, which would refuse it
         return CellResult(eta, beta, "rejected", float("nan"), out_dir,
                           detail="eta*beta >= 1 would flip the decayed weights")
     cell_cfg = dataclasses.replace(cfg, eta=eta, beta=beta, out_dir=out_dir)
     try:
-        result = train(cell_cfg)
+        result = train(cell_cfg, dataset=dataset)
     except TrainingDiverged as exc:
         return CellResult(eta, beta, "diverged", float("nan"), cell_cfg.out_dir,
                           detail=str(exc))
-    dataset = build_dataset(cell_cfg)
     x_val, y_val = dataset.split("val")
-    if x_val.shape[0] == 0:
-        raise DomainError("grid search needs a nonempty validation split")
     _, acc = diagnostics.evaluate(
         result.spec, result.params, x_val, y_val, bn_state=result.bn_state
     )
@@ -310,12 +316,15 @@ def grid(
 ) -> GridResult:
     """Train every (eta, beta) cell, pick the best validation accuracy
     (ties: smaller beta, then smaller eta), and retrain the winner on
-    train+validation."""
+    train+validation.  Every cell and the retrain share one dataset."""
     etas = [float(v) for v in etas]
     betas = [float(v) for v in betas]
     if not etas or not betas:
         raise DomainError("grid needs at least one eta and one beta")
-    tasks = [(base, eta, beta) for eta in etas for beta in betas]
+    dataset = build_dataset(base)
+    if dataset.split("val")[0].shape[0] == 0:
+        raise DomainError("grid search needs a nonempty validation split")
+    tasks = [(base, eta, beta, dataset) for eta in etas for beta in betas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_run_cell, tasks))
@@ -328,5 +337,5 @@ def grid(
     winner_cfg = dataclasses.replace(
         base, eta=best.eta, beta=best.beta, out_dir=os.path.join(base.out_dir, "best")
     )
-    final = train(winner_cfg, merge_val=True)
+    final = train(winner_cfg, dataset=dataset, merge_val=True)
     return GridResult(cells=cells, best=best, final=final)

@@ -254,12 +254,14 @@ def _normalized_step_discrepancy(spec, params, x, y, eta, lam):
 
     logits, trace = nn.forward(spec, params, x, mode="train")
     _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-    g0 = nn.backward(spec, params, trace, dz).weight_grads[0]
+    s_grads, _ = nn.vjp(spec, params, trace, dz)
+    g0 = s_grads[0].T @ trace.layer_inputs[0]
 
     scaled = nn.scale_layer(params, 0, 1.0 / norm)
     logits_s, trace_s = nn.forward(spec, scaled, x, mode="train")
     _, dz_s = loss.loss_and_grad(loss.CROSS_ENTROPY, logits_s, y)
-    g_hat = nn.backward(spec, scaled, trace_s, dz_s).weight_grads[0].ravel()
+    s_grads_s, _ = nn.vjp(spec, scaled, trace_s, dz_s)
+    g_hat = (s_grads_s[0].T @ trace_s.layer_inputs[0]).ravel()
 
     actual = (w0 - eta * g0).ravel()
     actual = actual / np.linalg.norm(actual)

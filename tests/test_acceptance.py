@@ -73,8 +73,8 @@ def test_criterion_2_sgd_couplings_agree_to_one_ulp():
     def step(state, params, x, y, coupling):
         logits, trace = nn.forward(spec, params, x, mode="train")
         _, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-        grads = nn.backward(spec, params, trace, dl)
-        return optim.sgd_step(state, params, grads, coupling)
+        s_grads, _ = nn.vjp(spec, params, trace, dl)
+        return optim.sgd_step(state, params, list(zip(s_grads, trace.layer_inputs)), coupling)
 
     for _ in range(1000):
         x = data_rng.normal(size=(8, 5))

@@ -75,6 +75,8 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("optimizer.momentum=0.9", "momentum"),
     ("diagnostics.probe=31", "probe size"),
     ("diagnostics.trace=1", "trace size"),
+    ("diagnostics.probe=-5", "negative probe or trace size"),
+    ("diagnostics.trace=-2", "negative probe or trace size"),
     ("optimizer.factor_decay=1.5", "factor decay"),
     ("coupling.beta=20", "eta * beta"),
 ])
@@ -171,7 +173,8 @@ def test_diag_matches_recorded_metrics(tmp_path, capsys):
     # A bias-free net without batch norm has no hidden evaluation state, so
     # the recomputed record must agree with what training logged, including
     # the learning rate the schedule had dropped to by the last epoch.
-    ini = write_ini(tmp_path, tiny_config(tmp_path / "run", epochs=3, schedule=(1, 2)))
+    ini = write_ini(tmp_path, tiny_config(tmp_path / "run", epochs=3, schedule=(1, 2),
+                                          n_test=0, trace_layers=(0,), trace_size=16))
     assert cli.main(["train", "--config", str(ini)]) == 0
     capsys.readouterr()
     code = cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")])
@@ -181,3 +184,6 @@ def test_diag_matches_recorded_metrics(tmp_path, capsys):
     assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
     assert payload["jacobian_norm"] == pytest.approx(final.jacobian_norm, rel=1e-12)
     assert payload["effective_lrs"] == pytest.approx(final.effective_lrs, rel=1e-12)
+    # the probe and trace rows are the ones train measured (no test split here)
+    assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
+    assert payload["gn_traces"]["0"] == pytest.approx(final.gn_traces[0], rel=1e-12)

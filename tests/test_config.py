@@ -59,6 +59,9 @@ def test_validation_rejects_bad_fields():
     (dict(trace_layers=(1,), trace_size=0), "trace size"),
     (dict(optimizer="kfac_gn", factor_decay=1.0), "factor decay"),
     (dict(optimizer="kfac_gn", factor_decay=-0.1), "factor decay"),
+    (dict(probe_size=-5), "negative probe or trace size"),
+    (dict(trace_size=-1), "negative probe or trace size"),
+    (dict(trace_layers=(0,), trace_size=-3), "negative probe or trace size"),
 ])
 def test_validation_rejects_inconsistent_run_settings(fields, message):
     with pytest.raises(DomainError, match=message):

@@ -163,10 +163,10 @@ def test_backward_matches_finite_differences(activation, bias):
     logits, trace = nn.forward(spec, params, x)
     if activation == nn.RELU:
         assert relu_margin(spec, trace) > 1e-3
-    result = nn.backward(spec, params, trace, seed)
+    s_grads, _ = nn.vjp(spec, params, trace, seed)
     theta = nn.flatten_params(spec, params)
     fd = central_diff_grad(seeded_scalar_loss(spec, x, seed), theta)
-    assert_allclose(flatten_grads(spec, result), fd, atol=2e-8, rtol=1e-6)
+    assert_allclose(flatten_grads(spec, s_grads, trace), fd, atol=2e-8, rtol=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -183,13 +183,13 @@ def test_backward_through_batchnorm_matches_finite_differences(mode):
     seed = rng.normal(size=(8, 3))
     _, trace = nn.forward(spec, params, x, mode=mode, bn_state=None if mode == "train" else state)
     assert relu_margin(spec, trace) > 1e-3
-    result = nn.backward(spec, params, trace, seed)
+    s_grads, _ = nn.vjp(spec, params, trace, seed)
     theta = nn.flatten_params(spec, params)
     fd = central_diff_grad(
         seeded_scalar_loss(spec, x, seed, mode=mode, bn_state=None if mode == "train" else state),
         theta,
     )
-    assert_allclose(flatten_grads(spec, result), fd, atol=5e-8, rtol=1e-5)
+    assert_allclose(flatten_grads(spec, s_grads, trace), fd, atol=5e-8, rtol=1e-5)
 
 
 def test_backward_input_gradient_matches_finite_differences():
@@ -209,16 +209,18 @@ def test_backward_input_gradient_matches_finite_differences():
 
 
 def test_backward_s_grads_chain_rule_identity():
-    # dL/dW_l = (dL/ds_l)^T a_l must tie s_grads to weight_grads exactly
+    # dL/dW_l = (dL/ds_l)^T a_l and dL/db_l = sum of dL/ds_l rows: the batch
+    # backward's pairs give the seed-weighted sum of the per-example
+    # Jacobians, which seed every (example, output) pair on its own
     rng = np.random.default_rng(9)
-    spec = nn.mlp((4, 6, 3), bn=True)
+    spec = nn.mlp((4, 6, 3), bn=True, bias=True)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(6, 4))
     seed = rng.normal(size=(6, 3))
     _, trace = nn.forward(spec, params, x)
-    result = nn.backward(spec, params, trace, seed)
-    for l in range(spec.n_layers):
-        assert_allclose(result.weight_grads[l], result.s_grads[l].T @ trace.layer_inputs[l], rtol=1e-12)
+    s_grads, _ = nn.vjp(spec, params, trace, seed)
+    want = np.einsum("nk,nkp->p", seed, nn.param_jacobian(spec, params, trace))
+    assert_allclose(flatten_grads(spec, s_grads, trace), want, rtol=1e-12, atol=1e-15)
 
 
 def test_backward_rejects_mismatched_seed():
@@ -227,7 +229,7 @@ def test_backward_rejects_mismatched_seed():
     params = nn.init_params(spec, rng)
     _, trace = nn.forward(spec, params, rng.normal(size=(5, 3)))
     with pytest.raises(ShapeError):
-        nn.backward(spec, params, trace, np.zeros((5, 3)))
+        nn.vjp(spec, params, trace, np.zeros((5, 3)))
 
 
 # --- Jacobians --------------------------------------------------------------

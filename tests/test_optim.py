@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import helpers
+from helpers import loss_grad_pairs
 from wdlab import curvature, loss, nn, optim
 from wdlab.errors import (
     ContractError,
@@ -23,6 +25,11 @@ from wdlab.errors import (
 
 def scalar_params(w=1.0):
     return nn.NetworkParams(weights=[np.array([[w]])])
+
+
+def as_pairs(*grads):
+    """Each gradient matrix G as the (ds, a) pair (G^T, I), so ds^T a = G exactly."""
+    return [(g.T, np.eye(g.shape[1])) for g in grads]
 
 
 # --- coupling plumbing ------------------------------------------------------
@@ -55,7 +62,7 @@ def test_mask_presets():
 def test_sgd_weight_decay_scalar_example():
     state = optim.SgdState(eta=0.1)
     new = optim.sgd_step(
-        state, scalar_params(1.0), [np.zeros((1, 1))], optim.Coupling("weight_decay", 0.5)
+        state, scalar_params(1.0), as_pairs(np.zeros((1, 1))), optim.Coupling("weight_decay", 0.5)
     )
     assert_allclose(new.weights[0], [[0.95]], rtol=0, atol=0)
 
@@ -63,7 +70,7 @@ def test_sgd_weight_decay_scalar_example():
 def test_sgd_plain_step_and_mask():
     state = optim.SgdState(eta=0.5)
     params = nn.NetworkParams(weights=[np.array([[2.0]]), np.array([[3.0]])])
-    grads = [np.array([[1.0]]), np.array([[1.0]])]
+    grads = as_pairs(np.array([[1.0]]), np.array([[1.0]]))
     new = optim.sgd_step(
         state, params, grads, optim.Coupling("weight_decay", 0.2, mask=(False, True))
     )
@@ -84,10 +91,7 @@ def test_sgd_couplings_bit_identical_without_momentum():
     c_wd = optim.Coupling("weight_decay", beta=0.1)
     for _ in range(1000):
         for params, st, c in ((params_l2, st_l2, c_l2), (params_wd, st_wd, c_wd)):
-            logits, trace = nn.forward(spec, params, x)
-            _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-            result = nn.backward(spec, params, trace, dz)
-            new = optim.sgd_step(st, params, result, c)
+            new = optim.sgd_step(st, params, loss_grad_pairs(spec, params, x, y), c)
             params.weights = new.weights
     for wl, wd in zip(params_l2.weights, params_wd.weights):
         assert np.array_equal(wl, wd)
@@ -98,7 +102,7 @@ def test_sgd_couplings_differ_with_momentum():
     params_b = scalar_params(1.0)
     st_a = optim.SgdState(eta=0.1, momentum=0.9)
     st_b = optim.SgdState(eta=0.1, momentum=0.9)
-    g = [np.array([[0.3]])]
+    g = as_pairs(np.array([[0.3]]))
     for _ in range(3):
         params_a = optim.sgd_step(st_a, params_a, g, optim.Coupling("l2", 0.5))
         params_b = optim.sgd_step(st_b, params_b, g, optim.Coupling("weight_decay", 0.5))
@@ -108,7 +112,7 @@ def test_sgd_couplings_differ_with_momentum():
 def test_sgd_rejects_unstable_decay():
     state = optim.SgdState(eta=0.5)
     with pytest.raises(InstabilityError):
-        optim.sgd_step(state, scalar_params(), [np.zeros((1, 1))], optim.Coupling("l2", 2.0))
+        optim.sgd_step(state, scalar_params(), as_pairs(np.zeros((1, 1))), optim.Coupling("l2", 2.0))
 
 
 # --- Adam -------------------------------------------------------------------
@@ -119,7 +123,7 @@ def test_adam_weight_decay_is_geometric_at_zero_gradient():
     params = scalar_params(1.0)
     for t in range(5):
         params = optim.adam_step(
-            state, params, [np.zeros((1, 1))], optim.Coupling("weight_decay", 0.5)
+            state, params, as_pairs(np.zeros((1, 1))), optim.Coupling("weight_decay", 0.5)
         )
         assert_allclose(params.weights[0], [[(1 - 0.05) ** (t + 1)]], rtol=1e-12)
 
@@ -129,7 +133,7 @@ def test_adam_l2_differs_from_geometric_decay():
     # (moments see a constant gradient), not a constant fraction of theta
     state = optim.AdamState(eta=0.1)
     params = scalar_params(1.0)
-    params = optim.adam_step(state, params, [np.zeros((1, 1))], optim.Coupling("l2", 0.5))
+    params = optim.adam_step(state, params, as_pairs(np.zeros((1, 1))), optim.Coupling("l2", 0.5))
     g = 0.5  # first effective gradient
     expected = 1.0 - 0.1 * g / (g + state.eps)  # bias corrections cancel at t=1
     assert_allclose(params.weights[0], [[expected]], rtol=1e-12)
@@ -144,7 +148,7 @@ def test_adam_moment_recursion_matches_manual():
     m = v = 0.0
     for t in range(1, 6):
         g = float(rng.normal())
-        params = optim.adam_step(state, params, [np.array([[g]])], optim.Coupling())
+        params = optim.adam_step(state, params, as_pairs(np.array([[g]])), optim.Coupling())
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1 - 0.9**t)
@@ -155,7 +159,7 @@ def test_adam_moment_recursion_matches_manual():
 
 def test_adam_couplings_coincide_at_beta_zero():
     rng = np.random.default_rng(2)
-    g = [rng.normal(size=(3, 2))]
+    g = as_pairs(rng.normal(size=(3, 2)))
     p1 = nn.NetworkParams(weights=[rng.normal(size=(3, 2))])
     p2 = p1.copy()
     s1 = optim.AdamState(eta=0.05)
@@ -222,10 +226,8 @@ def test_kfac_identity_preconditioner_reduces_to_sgd():
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 2))])
     new, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
     # S = I too (identity seeds, linear single layer), so the step is plain SGD
-    logits, trace = nn.forward(spec, params, x)
-    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-    g = nn.backward(spec, params, trace, dz).weight_grads[0]
-    assert_allclose(new.weights[0], params.weights[0] - 0.05 * g, rtol=1e-4)
+    ((ds, a),) = loss_grad_pairs(spec, params, x, y)
+    assert_allclose(new.weights[0], params.weights[0] - 0.05 * ds.T @ a, rtol=1e-4)
 
 
 @pytest.mark.parametrize("damping", ["dense"])
@@ -244,14 +246,13 @@ def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
     )
     new, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
 
-    logits, trace = nn.forward(spec, params, x)
-    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-    result = nn.backward(spec, params, trace, dz)
+    pairs = loss_grad_pairs(spec, params, x, y)
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
     slices = nn.layer_slices(spec)
     for l, sl in enumerate(slices):
         block = dense[sl, sl]
-        g = result.weight_grads[l].ravel()
+        ds, a = pairs[l]
+        g = (ds.T @ a).ravel()
         step = np.linalg.solve(block + lam * np.eye(block.shape[0]), g)
         actual_step = (params.weights[l] - new.weights[l]).ravel() / 1e-4
         assert np.linalg.norm(actual_step - step) <= 1e-6 * np.linalg.norm(step)
@@ -335,7 +336,7 @@ def test_kfac_step_fisher_factors_equal_a_direct_estimate():
 
 def full_route_kfac_step(state, spec, params, batch, coupling):
     """Reference K-FAC step that forms every layer's gradient as an
-    out x in(+1) matrix from nn.backward before preconditioning."""
+    out x in(+1) matrix before preconditioning."""
     x, y = batch
     if state.factors is None:
         state.factors = curvature.KfacFactors.zeros(spec)
@@ -346,13 +347,13 @@ def full_route_kfac_step(state, spec, params, batch, coupling):
     if state.step % state.t_inv == 0:
         curvature.invert_factors(state.factors, state.lam, state.damping_mode)
     _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-    result = nn.backward(spec, params, trace, dz)
+    s_grads, _ = nn.vjp(spec, params, trace, dz)
     mask = coupling.layer_mask(spec.n_layers)
     new = params.copy()
-    for l in range(spec.n_layers):
-        v, w = result.weight_grads[l], params.weights[l]
+    for l, (ds, a) in enumerate(zip(s_grads, trace.layer_inputs)):
+        v, w = ds.T @ a, params.weights[l]
         if spec.use_bias:
-            v = np.hstack([v, result.bias_grads[l][:, None]])
+            v = np.hstack([v, ds.sum(axis=0)[:, None]])
             w = np.hstack([w, np.zeros((w.shape[0], 1))])
         if coupling.mode == optim.COUPLING_L2 and mask[l]:
             v = v + coupling.beta * w
@@ -423,15 +424,85 @@ def test_kfac_masked_l2_routes_each_layer(damping, bias, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", optim.COUPLING_MODES)
-def test_kfac_step_never_calls_backward(mode, monkeypatch):
+def test_kfac_step_backpropagates_once_between_statistics(mode, monkeypatch):
+    # the loss gradient of every coupling comes from one nn.vjp of the loss
     spec, params, batch, (state, _) = kfac_pair("fisher", "factored", bias=True, bn=True)
+    state.t_stats = 10
+    params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling(mode, beta=0.1))
+    calls = []
+    vjp = nn.vjp
+
+    def counting(*args, **kwargs):
+        calls.append(args[3].shape)
+        return vjp(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "vjp", counting)
+    for step in range(1, 4):
+        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling(mode, beta=0.1))
+        assert calls == [(5, 3)] * step
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam", "kfac"])
+def test_bias_free_layers_are_never_hstacked(kind, monkeypatch):
+    spec, params, batch, (state, _) = kfac_pair("gn", "factored", bias=False)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("kfac_step called nn.backward")
+        raise AssertionError("a bias-free layer was hstacked")
 
-    monkeypatch.setattr(nn, "backward", forbidden)
-    for _ in range(3):
-        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling(mode, beta=0.1))
+    monkeypatch.setattr(np, "hstack", forbidden)
+    for mode in optim.COUPLING_MODES:
+        coupling = optim.Coupling(mode, beta=0.1)
+        if kind == "kfac":
+            optim.kfac_step(state, spec, params, batch, coupling)
+            continue
+        pairs = loss_grad_pairs(spec, params, *batch)
+        if kind == "sgd":
+            optim.sgd_step(optim.SgdState(eta=0.1, momentum=0.9), params, pairs, coupling)
+        else:
+            optim.adam_step(optim.AdamState(eta=0.1), params, pairs, coupling)
+
+
+BIAS_NET_OPTIMIZERS = ["sgd", "sgd_momentum", "adam", "kfac_gn_factored", "kfac_gn_dense",
+                       "kfac_fisher_factored", "kfac_fisher_dense"]
+
+
+@pytest.mark.parametrize("mode", optim.COUPLING_MODES)
+@pytest.mark.parametrize("kind", BIAS_NET_OPTIMIZERS)
+def test_bias_net_updates_match_the_separate_weight_bias_formulas(kind, mode):
+    # one [W b] matrix per layer moves exactly as the weight and bias
+    # formulas of tests/helpers.py, on a masked coupling over 12 steps
+    spec = nn.mlp((6, 9, 7, 4), bias=True)
+    rng = np.random.default_rng(30)
+    params = nn.init_params(spec, rng)
+    for b in params.biases:
+        b[:] = 0.1 * rng.normal(size=b.shape)
+    coupling = optim.Coupling(mode, beta=0.05, mask=(True, False, True))
+    if kind.startswith("kfac"):
+        _, metric, damping = kind.split("_")
+        state, ref_state = (optim.KfacState(metric=metric, eta=0.05, lam=1e-2, t_stats=2, t_inv=4,
+                                            damping_mode=damping, rng=np.random.default_rng(31))
+                            for _ in range(2))
+    elif kind == "adam":
+        state, ref_state = optim.AdamState(eta=0.01), helpers.ref_adam_state(0.01)
+    else:
+        momentum = 0.9 if kind == "sgd_momentum" else 0.0
+        state = optim.SgdState(eta=0.05, momentum=momentum)
+        ref_state = helpers.ref_sgd_state(0.05, momentum)
+    ref = params
+    for _ in range(12):
+        x = rng.normal(size=(10, 6))
+        y = rng.integers(0, 4, size=10)
+        if kind.startswith("kfac"):
+            params, _ = optim.kfac_step(state, spec, params, (x, y), coupling)
+            ref = helpers.ref_kfac_step(ref_state, spec, ref, (x, y), coupling)
+        else:
+            step, ref_step = ((optim.adam_step, helpers.ref_adam_step) if kind == "adam"
+                              else (optim.sgd_step, helpers.ref_sgd_step))
+            params = step(state, params, loss_grad_pairs(spec, params, x, y), coupling)
+            ref = ref_step(ref_state, ref, loss_grad_pairs(spec, ref, x, y), coupling)
+        for l in range(spec.n_layers):
+            assert np.array_equal(params.weights[l], ref.weights[l])
+            assert np.array_equal(params.biases[l], ref.biases[l])
 
 
 def test_kfac_health_rows_at_each_inversion():
@@ -549,9 +620,8 @@ def _bn_layer_step_discrepancy(eta, seed):
     x = rng.normal(size=(24, 5)) * 4.0
     y = rng.integers(0, 3, size=24)
 
-    logits, trace = nn.forward(spec, params, x)
-    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
-    g0 = nn.backward(spec, params, trace, dz).weight_grads[0]
+    ds, a = loss_grad_pairs(spec, params, x, y)[0]
+    g0 = ds.T @ a
 
     w0 = params.weights[0]
     norm = float(np.linalg.norm(w0))
@@ -560,9 +630,8 @@ def _bn_layer_step_discrepancy(eta, seed):
 
     # gradient at the normalized point, exactly rescaled by homogeneity
     scaled = nn.scale_layer(params, 0, 1.0 / norm)
-    logits_s, trace_s = nn.forward(spec, scaled, x)
-    _, dz_s = loss.loss_and_grad(loss.CROSS_ENTROPY, logits_s, y)
-    g_hat = nn.backward(spec, scaled, trace_s, dz_s).weight_grads[0].ravel()
+    ds, a = loss_grad_pairs(spec, scaled, x, y)[0]
+    g_hat = (ds.T @ a).ravel()
 
     ref = optim.reference_normalized_sgd_step(
         (w0 / norm).ravel(), norm, g_hat, eta, renormalize=False

@@ -2,10 +2,11 @@
 
 Every probe that seeds one output, or one (example, output) pair, at a time
 now runs as a few stacked `nn.vjp` calls.  The reference loops below are the
-per-seed forms those probes replaced; each probe is compared with its loop
-on small BN and non-BN nets.  Where the stacked form keeps the per-seed
-accumulation order the results must be bit-equal; the BN traces (Gram
-identity) and the Jacobians only to 1e-12 relative.
+per-seed forms those probes replaced, one 2-D `nn.vjp` call per seed; each
+probe is compared with its loop on small BN and non-BN nets.  Where the
+stacked form keeps the per-seed accumulation order the results must be
+bit-equal; the BN traces (Gram identity) and the Jacobians only to 1e-12
+relative.
 """
 
 import numpy as np
@@ -63,9 +64,9 @@ def ref_kfac_gn_norm(spec, params, x):
     n, k = logits.shape
     total = 0.0
     for c in range(k):
-        result = nn.backward(spec, params, trace, one_hot(n, k, slice(None), c))
+        s_grads, _ = nn.vjp(spec, params, trace, one_hot(n, k, slice(None), c))
         for l in range(spec.n_layers):
-            dots = np.sum(result.s_grads[l] * trace.pre_activations[l], axis=1)
+            dots = np.sum(s_grads[l] * trace.pre_activations[l], axis=1)
             total += float(np.sum(dots * dots))
     return total / n
 
@@ -84,10 +85,10 @@ def ref_normalized_trace(kind, spec, params, x, layer):
             for c in range(k):
                 seed = np.zeros((n, k))
                 seed[i] = eye[c] if kind == "gn" else eye[c] - probs[i]
-                result = nn.backward(spec, params, trace, seed)
-                ssq = float(np.sum(result.weight_grads[layer] ** 2))
+                ds = nn.vjp(spec, params, trace, seed)[0][layer]
+                ssq = float(np.sum((ds.T @ trace.layer_inputs[layer]) ** 2))
                 if spec.use_bias:
-                    ssq += float(np.sum(result.bias_grads[layer] ** 2))
+                    ssq += float(np.sum(ds.sum(axis=0) ** 2))
                 trace_raw += (1.0 if kind == "gn" else float(probs[i, c])) * ssq
     else:
         a = trace.layer_inputs[layer]
@@ -97,8 +98,8 @@ def ref_normalized_trace(kind, spec, params, x, layer):
                 seed, weights = one_hot(n, k, slice(None), c), np.ones(n)
             else:
                 seed, weights = eye[c][None, :] - probs, probs[:, c]
-            result = nn.backward(spec, params, trace, seed)
-            g_sq = np.sum(result.s_grads[layer] ** 2, axis=1)
+            s_grads, _ = nn.vjp(spec, params, trace, seed)
+            g_sq = np.sum(s_grads[layer] ** 2, axis=1)
             trace_raw += float(np.sum(weights * g_sq * a_sq))
     trace_raw /= n
     return norm_sq * trace_raw
@@ -108,9 +109,9 @@ def ref_gn_s_factors(spec, params, trace):
     n, k = trace.logits.shape
     sums = [np.zeros((d, d)) for d in spec.layer_dims[1:]]
     for c in range(k):
-        result = nn.backward(spec, params, trace, one_hot(n, k, slice(None), c))
+        s_grads, _ = nn.vjp(spec, params, trace, one_hot(n, k, slice(None), c))
         for l in range(spec.n_layers):
-            g = result.s_grads[l]
+            g = s_grads[l]
             sums[l] += g.T @ g
     return [s / n for s in sums]
 
@@ -122,8 +123,8 @@ def ref_param_jacobians(spec, params, trace):
     jac = np.zeros((n, k, spec.n_params))
     for i in range(n):
         for c in range(k):
-            result = nn.backward(spec, params, trace, one_hot(n, k, i, c))
-            jac[i, c] = flatten_grads(spec, result)
+            s_grads, _ = nn.vjp(spec, params, trace, one_hot(n, k, i, c))
+            jac[i, c] = flatten_grads(spec, s_grads, trace)
     return jac
 
 
@@ -142,7 +143,6 @@ def test_stacked_vjp_is_bit_identical_to_separate_seeds(net, mode):
         for l in range(spec.n_layers):
             assert np.array_equal(s_stack[l][j], s_one[l])
         assert np.array_equal(x_stack[j], x_one)
-        assert np.array_equal(nn.backward(spec, params, trace, seed).s_grads[0], s_one[0])
 
 
 def test_vjp_stops_at_the_lowest_layer_needed():
@@ -160,8 +160,6 @@ def test_vjp_stops_at_the_lowest_layer_needed():
         nn.vjp(spec, params, trace, seeds, lowest=3)
     with pytest.raises(ShapeError):
         nn.vjp(spec, params, trace, seeds[:, :-1])
-    with pytest.raises(ShapeError):
-        nn.backward(spec, params, trace, seeds)
 
 
 def test_seed_chunks_cover_the_range_within_the_row_budget(monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -300,6 +301,33 @@ def test_grid_tie_break_prefers_smaller_beta_then_eta(tmp_path):
     assert len(accs) == 1
     assert result.best.beta == 1e-3
     assert result.best.eta == 0.1
+
+
+def test_grid_builds_its_dataset_once(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, epochs=1)
+    calls = []
+    gen = data.gen_synthetic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gen(*args, **kwargs)
+
+    monkeypatch.setattr(data, "gen_synthetic", counting)
+    result = training.grid(cfg, etas=[0.1, 0.05], betas=[0.0, 1e-3])
+    assert len(calls) == 1
+    # each cell writes the bytes of a run that builds its own dataset
+    for cell in result.cells:
+        alone = training.train(dataclasses.replace(
+            cfg, eta=cell.eta, beta=cell.beta, out_dir=str(tmp_path / "alone")))
+        cell_csv = Path(cell.out_dir) / "metrics.csv"
+        assert cell_csv.read_bytes() == Path(alone.metrics_path).read_bytes()
+
+
+def test_grid_refuses_an_empty_validation_split_before_training(tmp_path):
+    cfg = tiny_config(tmp_path, n_val=0)
+    with pytest.raises(DomainError, match="validation"):
+        training.grid(cfg, etas=[0.1], betas=[0.0])
+    assert not (tmp_path / "run" / "cells").exists()
 
 
 def test_grid_needs_nonempty_axes(tmp_path):
