@@ -110,15 +110,13 @@ def dense_curvature(
 @dataclass(frozen=True)
 class FactorSpectrum:
     """One layer's factor spectrum at an inversion: the eigenvalue extremes
-    of A and S, the damping relative to the mean eigenvalue of S (x) A, and
-    the steps the previous inverse was in use (0 at the first inversion)."""
+    of A and S and the damping relative to the mean eigenvalue of S (x) A."""
 
     a_eig_min: float
     a_eig_max: float
     s_eig_min: float
     s_eig_max: float
     damping_ratio: float
-    steps_since_last_inversion: int
 
 
 @dataclass
@@ -139,7 +137,6 @@ class KfacFactors:
     s_factors: list[np.ndarray]
     inverses: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] | None = None
     spectra: list[FactorSpectrum] | None = None
-    steps_since_inversion: int = 0
 
     @staticmethod
     def zeros(spec: nn.NetworkSpec) -> "KfacFactors":
@@ -251,11 +248,9 @@ def invert_factors(state: KfacFactors, lam: float, damping: str = "factored") ->
             a_eig_min=float(ea.eigenvalues[0]), a_eig_max=float(ea.eigenvalues[-1]),
             s_eig_min=float(es.eigenvalues[0]), s_eig_max=float(es.eigenvalues[-1]),
             damping_ratio=lam / mean_sa if mean_sa > 0.0 else float("inf"),
-            steps_since_last_inversion=state.steps_since_inversion,
         ))
     state.inverses = inverses
     state.spectra = spectra
-    state.steps_since_inversion = 0
     return state
 
 
@@ -318,16 +313,17 @@ def gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float:
     return float(depth_plus_1**2 * np.mean(np.sum(logits * logits, axis=1)))
 
 
-def kfac_gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float:
+def kfac_gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x,
+                 bn_state: nn.BnState | None = None) -> float:
     """sum_l theta_l^T G_ll theta_l via exact per-layer quadratic forms.
 
     Each layer's quadratic form reduces to <dL/ds_l, s_l>^2 because s_l is
     linear in that layer's own parameters; one stacked backward of the k
-    output seeds covers the outputs (eval-mode BN, so examples stay
-    uncoupled).
+    output seeds covers the outputs (eval-mode BN with `bn_state`'s running
+    statistics, so examples stay uncoupled).
     """
     xm = np.asarray(x, dtype=np.float64)
-    logits, trace = nn.forward(spec, params, xm, mode="eval")
+    logits, trace = nn.forward(spec, params, xm, mode="eval", bn_state=bn_state)
     n, k = logits.shape
     total = 0.0
     seeds = nn.output_seeds(n, k)

@@ -147,8 +147,9 @@ def record_metrics(
     trace_layers: tuple[int, ...] = (),
     log: "MetricLog | None" = None,
 ) -> MetricRecord:
-    """Measure one epoch.  `probe_x` feeds the Jacobian and metric norms
-    (skipped as NaN when absent); `trace_x`/`trace_layers` select the
+    """Measure one epoch, BN nets with `bn_state`'s running statistics.
+    `probe_x` feeds the Jacobian and metric norms (NaN when absent; gn_norm is
+    NaN for nets with biases or BN); `trace_x`/`trace_layers` select the
     normalized-trace probes.  When `log` is given the record is appended."""
     train_loss, train_acc = evaluate(spec, params, *train_eval, bn_state=bn_state)
     test_loss, test_acc = evaluate(spec, params, *test_eval, bn_state=bn_state)
@@ -160,8 +161,8 @@ def record_metrics(
     kfac_gnn = float("nan")
     if probe_x is not None:
         jac = jacobian_frob_norm(spec, params, probe_x, bn_state=bn_state)
-        kfac_gnn = curvature.kfac_gn_norm(spec, params, probe_x)
-        if not spec.use_bias:
+        kfac_gnn = curvature.kfac_gn_norm(spec, params, probe_x, bn_state=bn_state)
+        if not (spec.use_bias or spec.has_bn):
             gnn = curvature.gn_norm(spec, params, probe_x)
 
     fisher_traces: dict[int, float] = {}
@@ -257,14 +258,14 @@ HEALTH_FIELDS = ("a_eig_min", "a_eig_max", "s_eig_min", "s_eig_max", "damping_ra
 def write_kfac_health(path, health: list[tuple[int, list[curvature.FactorSpectrum]]]) -> None:
     """K-FAC health log: one CSV row per (inversion step, layer) with the
     factor eigenvalue extremes, the damping relative to the mean eigenvalue
-    of S (x) A, and the steps since the previous inversion."""
+    of S (x) A, and the steps since the previous inversion (0 at the first)."""
     with open(os.fspath(path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "layer", *HEALTH_FIELDS, "steps_since_last_inversion"])
-        for step, spectra in health:
+        for (step, spectra), (previous, _) in zip(health, health[:1] + health):
             for l, sp in enumerate(spectra):
                 writer.writerow([step, l, *(_fmt(getattr(sp, f)) for f in HEALTH_FIELDS),
-                                 sp.steps_since_last_inversion])
+                                 step - previous])
 
 
 def load_metrics(path) -> list[MetricRecord]:

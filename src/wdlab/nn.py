@@ -181,7 +181,6 @@ class ForwardTrace:
     mode: str
     layer_inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
-    bn_means: list[np.ndarray | None]
     bn_stds: list[np.ndarray | None]
     bn_normalized: list[np.ndarray | None]
     logits: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -247,7 +246,6 @@ def forward(
         mode=mode,
         layer_inputs=[],
         pre_activations=[],
-        bn_means=[],
         bn_stds=[],
         bn_normalized=[],
     )
@@ -272,12 +270,10 @@ def forward(
                 var = state.variances[l]
             std = np.sqrt(var + BN_EPSILON)
             z = (s - mean) / std
-            trace.bn_means.append(mean)
             trace.bn_stds.append(std)
             trace.bn_normalized.append(z)
         else:
             z = s
-            trace.bn_means.append(None)
             trace.bn_stds.append(None)
             trace.bn_normalized.append(None)
         a = _activate(spec, z)
@@ -469,7 +465,6 @@ def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams, seed: int, e
         "spec": spec.to_dict(),
         "seed": int(seed),
         "epoch": int(epoch),
-        "shapes": [list(spec.weight_shape(l)) for l in range(spec.n_layers)],
         "count": int(theta.size),
     }
     with open(path, "wb") as fh:

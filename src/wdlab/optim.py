@@ -13,7 +13,8 @@ The coupling, the layer mask and the bias are applied in one place,
 a layer's gradient, the (ds, a) pair of `nn.vjp` (weight gradient ds^T a,
 bias gradient the column sums of ds).  Every layer moves as the out x in(+1)
 matrix [W b], the layout of K-FAC's factors.  Decay only ever touches W;
-bias vectors always take the plain step.
+bias vectors always take the plain step.  No step runs the network: K-FAC
+reads its factor statistics from the caller's forward trace.
 
 For momentum-free SGD the two couplings are mathematically identical; both
 are routed through literally the same arithmetic so trajectories agree to
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvature, linalg, loss, nn
+from . import curvature, linalg, nn
 from .errors import (
     ContractError,
     DegenerateError,
@@ -244,7 +245,7 @@ class KfacState:
     metric "fisher" estimates S from model-sampled targets; "gn" from output
     seeds.  Factors refresh by EMA every t_stats steps and their inverses
     every t_inv steps; step 0 forces both.  health holds (step, per-layer
-    factor spectra) for every inversion so far.
+    factor spectra) for every inversion so far; gaps are step differences.
     """
 
     metric: str
@@ -280,34 +281,28 @@ def kfac_step(
     state: KfacState,
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
-    batch: tuple,
+    trace: nn.ForwardTrace,
+    grads,
     coupling: Coupling = Coupling(),
-    bn_state: nn.BnState | None = None,
-) -> tuple[nn.NetworkParams, float]:
-    """One K-FAC step on an (inputs, integer labels) batch under
-    cross-entropy: (new params, batch loss).
+) -> nn.NetworkParams:
+    """One K-FAC step from a minibatch's train-mode forward `trace` and its
+    per-layer (ds, a) cross-entropy gradient pairs.
 
-    One train-mode forward serves the loss, its gradient and, when due, the
-    factor statistics; each inversion appends the layers' factor spectra to
-    `state.health`.  The direction is the gradient preconditioned by the
-    stored damped factor inverses, which take a layer's rank-n gradient as
-    its thin factors (ds, a) unless an l2 term made it full rank.
+    The trace feeds the factor statistics when they are due; each inversion
+    appends the layers' factor spectra to `state.health`.  The direction is
+    the gradient preconditioned by the stored damped factor inverses, which
+    take a layer's rank-n gradient as its thin factors (ds, a) unless an l2
+    term made it full rank.
     """
     _check_decay_stability(state.eta, coupling)  # before the rng draws
-    x, targets = batch
     if state.factors is None:
         state.factors = curvature.KfacFactors.zeros(spec)
-
-    logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
     if state.step % state.t_stats == 0:
         fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
         curvature.invert_factors(state.factors, state.lam, state.damping_mode)
         state.health.append((state.step, state.factors.spectra))
-
-    value, dl_dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, targets)
-    s_grads, _ = nn.vjp(spec, params, trace, dl_dz)
 
     def precondition(l, grad):
         if isinstance(grad, tuple):  # the factors' a carries the column of ones
@@ -317,10 +312,9 @@ def kfac_step(
             raise NumericalError(f"layer {l}: preconditioned gradient is not finite")
         return pre
 
-    new = _update(state, params, list(zip(s_grads, trace.layer_inputs)), coupling, precondition)
-    state.factors.steps_since_inversion += 1
+    new = _update(state, params, grads, coupling, precondition)
     state.step += 1
-    return new, value
+    return new
 
 
 # --- reference normalized-direction updates ---------------------------------

@@ -1,10 +1,10 @@
 """Training loops, grid search, and run persistence.
 
-A run is fully determined by its config: every RNG (init, shuffles, sampled
-targets) is derived from the config seed, so repeating a run reproduces the
-metric CSV byte for byte at a fixed BLAS thread count.  Each run directory
-receives the resolved config, a manifest.json naming what produced the run,
-a metrics.csv, a final checkpoint and, for K-FAC runs, a kfac_health.csv.
+A run, a grid's retrain too, is fully determined by its config: every RNG
+(init, shuffles, sampled targets) derives from the config seed, so a rerun
+writes the same metric CSV bytes at a fixed BLAS thread count.  Its directory
+holds the resolved config, a manifest.json naming what produced the run, a
+metrics.csv, a final checkpoint and, for K-FAC runs, a kfac_health.csv.
 """
 
 from __future__ import annotations
@@ -132,26 +132,23 @@ def make_optimizer(cfg: config_mod.ExperimentConfig):
 
 
 def _minibatch_pass(spec, params, bn_state, opt_state, coupling, x, y):
-    """One optimizer update on one minibatch; returns (params, batch loss)."""
-    if isinstance(opt_state, optim.KfacState):
-        return optim.kfac_step(opt_state, spec, params, (x, y), coupling, bn_state=bn_state)
+    """One optimizer update on one minibatch; returns (params, batch loss).
+    Its one forward and backward serve every optimizer and K-FAC's factors."""
     logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
     value, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dl)
     grads = list(zip(s_grads, trace.layer_inputs))
+    if isinstance(opt_state, optim.KfacState):
+        return optim.kfac_step(opt_state, spec, params, trace, grads, coupling), value
     if isinstance(opt_state, optim.SgdState):
         return optim.sgd_step(opt_state, params, grads, coupling), value
     return optim.adam_step(opt_state, params, grads, coupling), value
 
 
-def measured_inputs(cfg, dataset: data.Dataset, merge_val: bool = False):
+def measured_inputs(cfg, dataset: data.Dataset):
     """What a run measures at each epoch boundary: (train split, test split or
     else train, probe rows heading that, trace rows heading train or None)."""
     x_train, y_train = dataset.split("train")
-    if merge_val:
-        xv, yv = dataset.split("val")
-        x_train = np.concatenate([x_train, xv])
-        y_train = np.concatenate([y_train, yv])
     x_test, y_test = dataset.split("test")
     if x_test.shape[0] == 0:
         x_test, y_test = x_train, y_train
@@ -164,21 +161,18 @@ def train(
     cfg: config_mod.ExperimentConfig,
     dataset: data.Dataset | None = None,
     norm_plan: NormTransferPlan | None = None,
-    merge_val: bool = False,
 ) -> RunResult:
     """Run the configured experiment end to end.
 
     `dataset` overrides the config's data source (used when several arms must
-    share one sample).  `norm_plan` rescales masked layers to reference norms
-    at every epoch boundary.  `merge_val` folds the validation split into
-    training (grid-search retraining); the test split is never touched.
+    share one sample); its split must be the config's.  `norm_plan` rescales
+    masked layers to reference norms at every epoch boundary.
     """
     spec = cfg.network_spec()
     coupling = cfg.coupling_obj()
     if dataset is None:
         dataset = build_dataset(cfg)
-    (x_train, y_train), (x_test, y_test), probe_x, trace_x = measured_inputs(
-        cfg, dataset, merge_val)
+    (x_train, y_train), (x_test, y_test), probe_x, trace_x = measured_inputs(cfg, dataset)
     if norm_plan is not None and norm_plan.norms_by_epoch.shape != (
         cfg.epochs + 1,
         spec.n_layers,
@@ -314,9 +308,9 @@ def grid(
     betas,
     jobs: int = 1,
 ) -> GridResult:
-    """Train every (eta, beta) cell, pick the best validation accuracy
-    (ties: smaller beta, then smaller eta), and retrain the winner on
-    train+validation.  Every cell and the retrain share one dataset."""
+    """Train every (eta, beta) cell, pick the best validation accuracy (ties:
+    smaller beta, then smaller eta), and retrain the winner on a config whose
+    train split is train+validation.  All of them share one dataset."""
     etas = [float(v) for v in etas]
     betas = [float(v) for v in betas]
     if not etas or not betas:
@@ -334,8 +328,13 @@ def grid(
     if not trained:
         raise DomainError("every grid cell was rejected or diverged")
     best = min(trained, key=lambda c: (-c.val_accuracy, c.beta, c.eta))
+    # make_splits' permutation depends only on the seed and the row count, so
+    # the retrain's train rows are the cells' train rows, then their val rows
+    n_train = base.n_train + base.n_val
     winner_cfg = dataclasses.replace(
-        base, eta=best.eta, beta=best.beta, out_dir=os.path.join(base.out_dir, "best")
+        base, eta=best.eta, beta=best.beta, n_train=n_train, n_val=0,
+        out_dir=os.path.join(base.out_dir, "best"),
     )
-    final = train(winner_cfg, dataset=dataset, merge_val=True)
+    merged = data.make_splits(dataset, n_train, 0, base.n_test, seed=base.seed)
+    final = train(winner_cfg, dataset=merged)
     return GridResult(cells=cells, best=best, final=final)

@@ -55,6 +55,17 @@ def loss_grad_pairs(spec, params, x, y):
     return list(zip(s_grads, trace.layer_inputs))
 
 
+def kfac_batch_step(state, spec, params, batch, coupling=optim.Coupling()):
+    """`optim.kfac_step` on an (inputs, labels) batch, after the one train-mode
+    forward, cross-entropy gradient and backward that training runs for it."""
+    x, y = batch
+    logits, trace = nn.forward(spec, params, x, mode="train")
+    _, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    s_grads, _ = nn.vjp(spec, params, trace, dl)
+    return optim.kfac_step(state, spec, params, trace, list(zip(s_grads, trace.layer_inputs)),
+                           coupling)
+
+
 def random_net(rng, dims=(4, 5, 3), activation=nn.RELU, bn=False, bias=False):
     spec = nn.mlp(dims, activation=activation, bn=bn, bias=bias)
     params = nn.init_params(spec, rng)
@@ -241,6 +252,5 @@ def ref_kfac_step(state, spec, params, batch, coupling):
             new.weights[l] = params.weights[l] - eta * pre
         if _decays(coupling, optim.COUPLING_WD, mask, l):
             new.weights[l] = new.weights[l] - (eta * beta) * params.weights[l]
-    state.factors.steps_since_inversion += 1
     state.step += 1
     return new

@@ -101,6 +101,27 @@ def test_grid_command_picks_and_retrains(tmp_path, capsys):
     assert "best: eta=0.1 beta=0" in out
 
 
+def test_diag_reproduces_the_grid_retrain(tmp_path, capsys):
+    # the retrain trains on train+val, and its config.ini must say so for
+    # diag (or a plain train run of that config) to give back its metrics
+    cfg = tiny_config(tmp_path / "grid", epochs=2, trace_layers=(0,), trace_size=16)
+    assert cli.main(["grid", "--config", str(write_ini(tmp_path, cfg)),
+                     "--etas", "0.1", "--betas", "0"]) == 0
+    best = tmp_path / "grid" / "best"
+    retrained = config.load_config(best / "config.ini")
+    assert (retrained.n_train, retrained.n_val) == (cfg.n_train + cfg.n_val, 0)
+    capsys.readouterr()
+    assert cli.main(["diag", str(best / "checkpoint.bin")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    final = diagnostics.load_metrics(best / "metrics.csv")[-1]
+    assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
+    assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
+    assert payload["gn_traces"]["0"] == pytest.approx(final.gn_traces[0], rel=1e-12)
+    assert cli.main(["train", "--config", str(best / "config.ini"),
+                     "--out", str(tmp_path / "plain")]) == 0
+    assert (tmp_path / "plain" / "metrics.csv").read_bytes() == (best / "metrics.csv").read_bytes()
+
+
 def test_verify_command_passes_and_writes_json(tmp_path, capsys):
     report_path = tmp_path / "reports" / "oracles.json"
     code = cli.main(["verify", "--trials", "3", "--json", str(report_path)])
@@ -122,8 +143,7 @@ def test_verify_only_runs_one_check(capsys):
 
 def test_verify_failure_sets_exit_status(monkeypatch, capsys):
     failing = CheckReport(name="gn_norm_identities", trials=2,
-                          max_rel_error=1.0, tolerance=1e-8,
-                          passed=False, seed=0)
+                          max_rel_error=1.0, tolerance=1e-8, seed=0)
     monkeypatch.setattr(cli.verify, "run_all", lambda **kw: [failing])
     code = cli.main(["verify", "--trials", "2"])
     assert code == 1

@@ -250,6 +250,35 @@ def test_record_metrics_fields_are_consistent():
     assert np.isfinite(rec.kfac_gn_norm)
 
 
+def test_bn_record_measures_the_network_it_evaluates():
+    # with non-zero running means the block GN form of the running-statistics
+    # network is not the mean-0/var-1 network's, and the homogeneity shortcut
+    # behind gn_norm fails, so a BN record logs that one as NaN
+    rng = np.random.default_rng(45)
+    spec, params = _bn_net(rng)
+    bn_state = nn.BnState.fresh(spec)
+    for _ in range(5):
+        nn.forward(spec, params, rng.normal(1.0, size=(16, 4)), mode="train", bn_state=bn_state)
+    x = rng.normal(size=(12, 4))
+    y = rng.integers(0, 3, size=12)
+    expected = 0.0
+    for l in range(spec.n_layers):
+        def logits(t):
+            scaled = params.copy()
+            scaled.weights[l] = params.weights[l] * (1.0 + t)
+            return nn.forward(spec, scaled, x, mode="eval", bn_state=bn_state)[0]
+
+        jac_theta = (logits(1e-6) - logits(-1e-6)) / 2e-6  # J_l theta_l per example
+        expected += float(np.sum(jac_theta**2)) / x.shape[0]
+    got = curvature.kfac_gn_norm(spec, params, x, bn_state=bn_state)
+    npt.assert_allclose(got, expected, rtol=1e-6)
+    assert abs(curvature.kfac_gn_norm(spec, params, x) - expected) > 1e-3 * expected
+    rec = diagnostics.record_metrics(0, spec, params, 0.1, (x, y), (x, y),
+                                     bn_state=bn_state, probe_x=x)
+    assert rec.kfac_gn_norm == got
+    assert np.isnan(rec.gn_norm)
+
+
 def test_record_metrics_without_probe_leaves_nan():
     rec = _small_run_record(probe=False)
     assert np.isnan(rec.jacobian_norm)

@@ -412,6 +412,14 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, fmt):
     assert (seed, epoch) == (123, 7)
     for w1, w2 in zip(params.weights, params2.weights):
         assert np.array_equal(w1, w2)
+    # older checkpoints also carry the weight shapes in their header
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["shapes"] = [list(spec.weight_shape(l)) for l in range(spec.n_layers)]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    _, params3, _, _ = nn.load_checkpoint(path)
+    for w1, w3 in zip(params.weights, params3.weights):
+        assert np.array_equal(w1, w3)
 
 
 def test_checkpoint_binary_is_save_load_save_stable(tmp_path):

@@ -204,7 +204,7 @@ def test_kfac_scalar_example_l2_vs_weight_decay():
         state = optim.KfacState(
             metric="gn", eta=eta, lam=1e-12, t_stats=1, t_inv=1, factor_decay=0.0,
         )
-        new, _ = optim.kfac_step(
+        new = helpers.kfac_batch_step(
             state, spec, nn.NetworkParams(weights=[w.copy()]), (x, y),
             optim.Coupling(mode, beta=beta),
         )
@@ -224,7 +224,7 @@ def test_kfac_identity_preconditioner_reduces_to_sgd():
     )
     rng = np.random.default_rng(3)
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 2))])
-    new, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+    new = helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
     # S = I too (identity seeds, linear single layer), so the step is plain SGD
     ((ds, a),) = loss_grad_pairs(spec, params, x, y)
     assert_allclose(new.weights[0], params.weights[0] - 0.05 * ds.T @ a, rtol=1e-4)
@@ -244,7 +244,7 @@ def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
         metric="gn", eta=1e-4, lam=lam, t_stats=1, t_inv=1, factor_decay=0.0,
         damping_mode=damping,
     )
-    new, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+    new = helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
 
     pairs = loss_grad_pairs(spec, params, x, y)
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
@@ -269,7 +269,7 @@ def test_kfac_couplings_differ_with_anisotropic_preconditioner():
             metric="gn", eta=0.1, lam=1e-3, t_stats=1, t_inv=1, factor_decay=0.0,
         )
         params = nn.NetworkParams(weights=[np.array([[1.0, 1.0], [0.5, -1.0]])])
-        new, _ = optim.kfac_step(
+        new = helpers.kfac_batch_step(
             state, spec, params, (x, y), optim.Coupling(mode, beta=0.3)
         )
         outs[mode] = new.weights[0]
@@ -285,19 +285,20 @@ def test_kfac_refresh_cadence():
     state = optim.KfacState(metric="gn", eta=1e-3, lam=1e-2, t_stats=2, t_inv=4)
     snapshots = []
     for _ in range(5):
-        params, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+        params = helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
         snapshots.append([a.copy() for a in state.factors.a_factors])
     # steps 0,2,4 refresh stats; steps 1,3 keep them frozen
     assert np.array_equal(snapshots[0][0], snapshots[1][0])
     assert not np.array_equal(snapshots[1][0], snapshots[2][0])
     assert np.array_equal(snapshots[2][0], snapshots[3][0])
     # inverses recomputed at steps 0 and 4 only
-    assert state.factors.steps_since_inversion == 1
+    assert [step for step, _ in state.health] == [0, 4]
 
 
 @pytest.mark.parametrize("metric", ["fisher", "gn"])
 def test_kfac_step_runs_one_forward(metric, monkeypatch):
-    # statistics (even steps), inversion (step 0) and plain steps alike
+    # kfac_step adds no forward to its caller's one, on statistics (even
+    # steps), inversion (step 0) and plain steps alike
     spec = nn.mlp((3, 4, 2), bn=True)
     x = np.random.default_rng(7).normal(size=(8, 3))
     y = np.random.default_rng(8).integers(0, 2, size=8)
@@ -313,7 +314,7 @@ def test_kfac_step_runs_one_forward(metric, monkeypatch):
 
     monkeypatch.setattr(nn, "forward", counting)
     for step in range(4):
-        params, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+        params = helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
         assert calls == ["train"] * (step + 1)
 
 
@@ -324,7 +325,7 @@ def test_kfac_step_fisher_factors_equal_a_direct_estimate():
     params = nn.init_params(spec, np.random.default_rng(10))
     state = optim.KfacState(metric="fisher", eta=1e-2, factor_decay=0.0,
                             rng=np.random.default_rng(11))
-    optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+    helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
     _, trace = nn.forward(spec, params, x, mode="train")
     fresh = curvature.estimate_kfac_factors(
         "fisher", spec, params, trace, rng=np.random.default_rng(11)
@@ -363,7 +364,6 @@ def full_route_kfac_step(state, spec, params, batch, coupling):
             new.biases[l] = params.biases[l] - state.eta * pre[:, -1]
         if coupling.mode == optim.COUPLING_WD and mask[l]:
             new.weights[l] = new.weights[l] - (state.eta * coupling.beta) * params.weights[l]
-    state.factors.steps_since_inversion += 1
     state.step += 1
     return new
 
@@ -390,7 +390,7 @@ def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, damping, 
     coupling = optim.Coupling("l2", beta=0.1)
     ref = params
     for _ in range(3):
-        params, _ = optim.kfac_step(state, spec, params, batch, coupling)
+        params = helpers.kfac_batch_step(state, spec, params, batch, coupling)
         ref = full_route_kfac_step(ref_state, spec, ref, batch, coupling)
         for l in range(spec.n_layers):
             assert np.array_equal(params.weights[l], ref.weights[l])
@@ -413,7 +413,7 @@ def test_kfac_masked_l2_routes_each_layer(damping, bias, monkeypatch):
         return apply(factors, layer, grad)
 
     monkeypatch.setattr(curvature, "apply_preconditioner", recording)
-    new, _ = optim.kfac_step(state, spec, params, batch, coupling)
+    new = helpers.kfac_batch_step(state, spec, params, batch, coupling)
     assert routes == [np.ndarray, tuple, tuple]
     monkeypatch.setattr(curvature, "apply_preconditioner", apply)
     ref = full_route_kfac_step(ref_state, spec, params, batch, coupling)
@@ -421,25 +421,6 @@ def test_kfac_masked_l2_routes_each_layer(damping, bias, monkeypatch):
     for l in (1, 2):
         step = params.weights[l] - ref.weights[l]
         assert np.linalg.norm(new.weights[l] - ref.weights[l]) <= 1e-12 * np.linalg.norm(step)
-
-
-@pytest.mark.parametrize("mode", optim.COUPLING_MODES)
-def test_kfac_step_backpropagates_once_between_statistics(mode, monkeypatch):
-    # the loss gradient of every coupling comes from one nn.vjp of the loss
-    spec, params, batch, (state, _) = kfac_pair("fisher", "factored", bias=True, bn=True)
-    state.t_stats = 10
-    params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling(mode, beta=0.1))
-    calls = []
-    vjp = nn.vjp
-
-    def counting(*args, **kwargs):
-        calls.append(args[3].shape)
-        return vjp(*args, **kwargs)
-
-    monkeypatch.setattr(nn, "vjp", counting)
-    for step in range(1, 4):
-        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling(mode, beta=0.1))
-        assert calls == [(5, 3)] * step
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam", "kfac"])
@@ -453,7 +434,7 @@ def test_bias_free_layers_are_never_hstacked(kind, monkeypatch):
     for mode in optim.COUPLING_MODES:
         coupling = optim.Coupling(mode, beta=0.1)
         if kind == "kfac":
-            optim.kfac_step(state, spec, params, batch, coupling)
+            helpers.kfac_batch_step(state, spec, params, batch, coupling)
             continue
         pairs = loss_grad_pairs(spec, params, *batch)
         if kind == "sgd":
@@ -493,7 +474,7 @@ def test_bias_net_updates_match_the_separate_weight_bias_formulas(kind, mode):
         x = rng.normal(size=(10, 6))
         y = rng.integers(0, 4, size=10)
         if kind.startswith("kfac"):
-            params, _ = optim.kfac_step(state, spec, params, (x, y), coupling)
+            params = helpers.kfac_batch_step(state, spec, params, (x, y), coupling)
             ref = helpers.ref_kfac_step(ref_state, spec, ref, (x, y), coupling)
         else:
             step, ref_step = ((optim.adam_step, helpers.ref_adam_step) if kind == "adam"
@@ -509,9 +490,8 @@ def test_kfac_health_rows_at_each_inversion():
     spec, params, batch, (state, _) = kfac_pair("gn", "factored", bias=True)
     state.t_inv = 3
     for _ in range(4):
-        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling())
+        params = helpers.kfac_batch_step(state, spec, params, batch, optim.Coupling())
     assert [step for step, _ in state.health] == [0, 3]
-    assert [sp.steps_since_last_inversion for sp in state.health[1][1]] == [3, 3, 3]
     # t_stats = 1 and no step since the step-3 inversion: the stored factors
     # are the ones that inversion saw
     for l, sp in enumerate(state.health[1][1]):
@@ -522,7 +502,7 @@ def test_kfac_health_rows_at_each_inversion():
         assert_allclose([sp.a_eig_min, sp.a_eig_max, sp.s_eig_min, sp.s_eig_max],
                         [ea[0], ea[-1], es[0], es[-1]], rtol=1e-9, atol=1e-14)
     for _ in range(3):
-        params, _ = optim.kfac_step(state, spec, params, batch, optim.Coupling())
+        params = helpers.kfac_batch_step(state, spec, params, batch, optim.Coupling())
     assert [step for step, _ in state.health] == [0, 3, 6]
 
 
@@ -536,8 +516,8 @@ def test_kfac_state_validation():
     state = optim.KfacState(metric="gn", eta=0.5)
     spec = nn.mlp((1, 1), activation=nn.IDENTITY)
     with pytest.raises(InstabilityError):
-        optim.kfac_step(
-            state, spec, scalar_params(), (np.ones((2, 1)), np.ones((2, 1))),
+        helpers.kfac_batch_step(
+            state, spec, scalar_params(), (np.ones((2, 1)), np.zeros(2, dtype=int)),
             optim.Coupling("weight_decay", 2.0),
         )
 
@@ -552,7 +532,7 @@ def test_kfac_fisher_metric_is_seed_deterministic():
         state = optim.KfacState(metric="fisher", eta=1e-2, rng=rng, t_stats=1, t_inv=1)
         params = nn.init_params(spec, np.random.default_rng(10))
         for _ in range(3):
-            params, _ = optim.kfac_step(state, spec, params, (x, y), optim.Coupling())
+            params = helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
         runs.append(nn.flatten_params(spec, params))
     assert np.array_equal(runs[0], runs[1])
 

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import config, data, diagnostics, loss, nn, training
+from wdlab import config, data, diagnostics, loss, nn, optim, training
 from wdlab.errors import DomainError, TrainingDiverged
 
 
@@ -222,6 +222,44 @@ def test_kfac_minibatch_pass_returns_pre_step_batch_loss(tmp_path, kind):
     assert np.array_equal(bn_state.variances[0], once.variances[0])
 
 
+@pytest.mark.parametrize("kind", ["sgd", "adam", "kfac_gn", "kfac_fisher"])
+def test_each_minibatch_runs_one_forward_loss_backward_and_step(tmp_path, monkeypatch, kind):
+    # the step functions the benchmark counts see one train-mode forward, one
+    # loss gradient and one backward per minibatch, all outside the step; a
+    # K-FAC step only backpropagates its factor statistics
+    cfg = tiny_config(tmp_path, optimizer=kind, batchnorm=kind == "kfac_fisher", eta=0.05,
+                      probe_size=0, epochs=1, stats_every=2, invert_every=3)
+    dataset = training.build_dataset(cfg)  # its teacher net runs forwards too
+    events, scopes = [], []
+
+    def count(module, name, label, scope=False):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append((tuple(scopes), f"{label} {kwargs['mode']}" if "mode" in kwargs else label))
+            if scope:
+                scopes.append(label)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if scope:
+                    scopes.pop()
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(nn, "forward", "forward")
+    count(loss, "loss_and_grad", "loss")
+    count(nn, "vjp", "vjp")
+    count(optim, {"sgd": "sgd_step", "adam": "adam_step"}.get(kind, "kfac_step"), "step", True)
+    count(diagnostics, "record_metrics", "record", True)
+    training.train(cfg, dataset=dataset)
+    steps = cfg.n_train // cfg.batch_size
+    assert [e for scope, e in events if not scope] == (
+        ["record"] + ["forward train", "loss", "vjp", "step"] * steps + ["record"])
+    in_step = {e for scope, e in events if scope == ("step",)}
+    assert in_step == ({"vjp"} if kind.startswith("kfac") else set())
+
+
 def test_bn_run_records_traces(tmp_path):
     cfg = tiny_config(tmp_path, batchnorm=True, trace_layers=(0,), trace_size=16)
     result = training.train(cfg)
@@ -251,17 +289,6 @@ def test_norm_transfer_plan_shape_checked(tmp_path):
     plan = training.NormTransferPlan(mask=(True, False), norms_by_epoch=np.ones((1, 2)))
     with pytest.raises(DomainError):
         training.train(cfg, norm_plan=plan)
-
-
-def test_merge_val_changes_training_pool(tmp_path):
-    cfg = tiny_config(tmp_path, epochs=0)
-    plain = training.train(cfg)
-    merged = training.train(
-        dataclasses.replace(cfg, out_dir=str(tmp_path / "merged")), merge_val=True
-    )
-    # same initialization, different training pool for the loss estimate
-    assert plain.records[0].train_loss != merged.records[0].train_loss
-    npt.assert_array_equal(plain.params.weights[0], merged.params.weights[0])
 
 
 def test_shared_dataset_override(tmp_path):
