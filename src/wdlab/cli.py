@@ -114,7 +114,10 @@ def _cmd_replicate(args) -> int:
 
 def _cmd_diag(args) -> int:
     ckpt = Path(args.checkpoint)
-    spec, params, seed, epoch = nn.load_checkpoint(ckpt)
+    spec, params, bn_state, seed, epoch = nn.load_checkpoint(ckpt)
+    if spec.has_bn and bn_state is None:
+        print("warning: the checkpoint predates stored batch-norm statistics; "
+              "evaluating with running mean 0 and variance 1", file=sys.stderr)
     cfg_path = Path(args.config) if args.config else ckpt.parent / "config.ini"
     cfg = config_mod.load_config(cfg_path)
     if args.seed is not None:
@@ -123,7 +126,7 @@ def _cmd_diag(args) -> int:
     # the rate train records epoch `epoch` at: the one its last epoch stepped with
     eta = optim.apply_lr_schedule(training.make_optimizer(cfg), epoch - 1).eta
     record = diagnostics.record_metrics(
-        epoch, spec, params, eta, train, test,
+        epoch, spec, params, eta, train, test, bn_state=bn_state,
         probe_x=probe_x, trace_x=trace_x, trace_layers=tuple(cfg.trace_layers))
     payload = dataclasses.asdict(record)
     payload["checkpoint"] = str(ckpt)
@@ -177,10 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
         "diag",
         help="one-off diagnostics on a checkpoint",
         description="Recompute the metric record for a saved checkpoint "
-                    "using the config.ini next to it (or --config).  "
-                    "Checkpoints store only the weights, so batch-norm nets "
-                    "are evaluated with running mean 0 and variance 1, not "
-                    "the statistics the run recorded with.")
+                    "using the config.ini next to it (or --config), with "
+                    "the batch-norm running statistics the checkpoint stores.  "
+                    "A batch-norm checkpoint written before they were stored "
+                    "is evaluated with running mean 0 and variance 1, with a "
+                    "warning.")
     p_diag.add_argument("checkpoint", help="path to a checkpoint file")
     p_diag.add_argument("--config", help="config INI (default: beside the checkpoint)")
     p_diag.add_argument("--seed", type=int, help="override the data seed")

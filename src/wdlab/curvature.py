@@ -349,24 +349,22 @@ def gn_norm_gradient(
     return 2.0 * spec.n_layers * (g @ theta)
 
 
-def normalized_trace(
-    kind: str,
+def normalized_traces(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
     x,
     layer: int,
-) -> float:
-    """Trace of the layer's curvature block at normalized weights.
+) -> tuple[float, float]:
+    """(gn, fisher) traces of the layer's curvature block at normalized weights.
 
-    Computed as ||theta_l||^2 * tr(C_ll) at the current weights, which equals
+    Each is ||theta_l||^2 * tr(C_ll) at the current weights, which equals
     the trace at theta_l / ||theta_l|| by the inverse-square scaling of
     curvature under layer rescaling — no re-evaluation at rescaled weights.
-    "fisher" sums classes exactly (cross-entropy); "gn" seeds each output.
-    BN networks are differentiated in train mode with one seed per (example,
-    output) pair, so the result is invariant to rescaling a normalized layer.
+    gn seeds each output c; the exact Fisher's seeds e_c - p backpropagate
+    to ds_c - ds_p, so the softmax p joins the same stack as one more seed.
+    BN networks are differentiated in train mode, each example seeded on its
+    own row, so both traces are invariant to rescaling a normalized layer.
     """
-    if kind not in ("fisher", "gn"):
-        raise DomainError(f"kind must be 'fisher' or 'gn', got {kind!r}")
     if not 0 <= layer < spec.n_layers:
         raise ShapeError(f"no layer {layer} in a {spec.n_layers}-layer network")
     norm_sq = float(np.sum(params.weights[layer] ** 2))
@@ -376,35 +374,36 @@ def normalized_trace(
         raise DegenerateError(f"layer {layer} has zero norm; its direction is undefined")
 
     xm = np.asarray(x, dtype=np.float64)
-    mode = _curvature_mode(spec)
-    logits, trace = nn.forward(spec, params, xm, mode=mode)
+    logits, trace = nn.forward(spec, params, xm, mode=_curvature_mode(spec))
     n, k = logits.shape
-    if kind == "fisher":
-        if k > CLASS_CAP:
-            raise CapacityError(f"fisher trace sums over {k} classes, cap is {CLASS_CAP}")
-        probs = loss.softmax(logits)
-    eye = np.eye(k)
+    if k > CLASS_CAP:
+        raise CapacityError(f"fisher trace sums over {k} classes, cap is {CLASS_CAP}")
+    probs = loss.softmax(logits)
 
-    trace_raw = 0.0
+    gn_raw = fisher_raw = 0.0
     a = trace.layer_inputs[layer]
     if spec.has_bn:
         # ||ds^T a||_F^2 = sum((ds ds^T) * (a a^T)), and the bias column adds
         # ||sum of ds rows||^2, so no per-seed weight gradient is formed
         gram = a @ a.T + (1.0 if spec.use_bias else 0.0)
-        blocks = np.broadcast_to(eye, (n, k, k)) if kind == "gn" else eye - probs[:, None, :]
-        for ex in nn.seed_chunks(n, k * n):
+        blocks = np.concatenate([np.broadcast_to(np.eye(k), (n, k, k)), probs[:, None, :]], axis=1)
+        for ex in nn.seed_chunks(n, (k + 1) * n):
             s_grads, _ = nn.vjp(spec, params, trace, nn.example_seeds(blocks, ex), lowest=layer)
-            ds = s_grads[layer]
-            ssq = np.sum((ds @ ds.transpose(0, 2, 1)) * gram, axis=(1, 2))
-            weights = 1.0 if kind == "gn" else probs[ex].ravel()
-            trace_raw += float(np.sum(weights * ssq))
+            ds = s_grads[layer].reshape(-1, k + 1, n, spec.layer_dims[layer + 1])
+            # per example: the k gn seeds' ds, then the k Fisher seeds' ds_c - ds_p
+            ds = np.concatenate([ds[:, :k], ds[:, :k] - ds[:, k:]], axis=1).reshape(-1, n, ds.shape[-1])
+            ssq = np.sum((ds @ ds.transpose(0, 2, 1)) * gram, axis=(1, 2)).reshape(-1, 2, k)
+            gn_raw += float(np.sum(ssq[:, 0].ravel()))
+            fisher_raw += float(np.sum(probs[ex] * ssq[:, 1]))
     else:
         a_sq = np.sum(a * a, axis=1) + (1.0 if spec.use_bias else 0.0)
-        seeds = nn.output_seeds(n, k) if kind == "gn" else eye[:, None, :] - probs
+        ds_p = nn.vjp(spec, params, trace, probs, lowest=layer)[0][layer]
+        seeds = nn.output_seeds(n, k)
         for chunk in nn.seed_chunks(k, n):
-            s_grads, _ = nn.vjp(spec, params, trace, seeds[chunk], lowest=layer)
-            g_sq = np.sum(s_grads[layer] ** 2, axis=-1)
+            ds = nn.vjp(spec, params, trace, seeds[chunk], lowest=layer)[0][layer]
+            g_sq = np.sum(ds**2, axis=-1)
+            f_sq = np.sum((ds - ds_p) ** 2, axis=-1)
             for j, c in enumerate(range(chunk.start, chunk.stop)):
-                weights = np.ones(n) if kind == "gn" else probs[:, c]
-                trace_raw += float(np.sum(weights * g_sq[j] * a_sq))
-    return norm_sq * (trace_raw / n)
+                gn_raw += float(np.sum(g_sq[j] * a_sq))
+                fisher_raw += float(np.sum(probs[:, c] * f_sq[j] * a_sq))
+    return norm_sq * (gn_raw / n), norm_sq * (fisher_raw / n)

@@ -150,7 +150,8 @@ def record_metrics(
     """Measure one epoch, BN nets with `bn_state`'s running statistics.
     `probe_x` feeds the Jacobian and metric norms (NaN when absent; gn_norm is
     NaN for nets with biases or BN); `trace_x`/`trace_layers` select the
-    normalized-trace probes.  When `log` is given the record is appended."""
+    normalized GN and Fisher traces, both from one pass per layer.  When
+    `log` is given the record is appended."""
     train_loss, train_acc = evaluate(spec, params, *train_eval, bn_state=bn_state)
     test_loss, test_acc = evaluate(spec, params, *test_eval, bn_state=bn_state)
     norms = tuple(float(v) for v in nn.layer_norms(params))
@@ -169,8 +170,7 @@ def record_metrics(
     gn_traces: dict[int, float] = {}
     if trace_x is not None:
         for l in trace_layers:
-            gn_traces[l] = curvature.normalized_trace("gn", spec, params, trace_x, l)
-            fisher_traces[l] = curvature.normalized_trace("fisher", spec, params, trace_x, l)
+            gn_traces[l], fisher_traces[l] = curvature.normalized_traces(spec, params, trace_x, l)
 
     record = MetricRecord(
         epoch=int(epoch),

@@ -342,12 +342,12 @@ def output_seeds(n: int, k: int) -> np.ndarray:
 
 
 def example_seeds(blocks: np.ndarray, examples: slice) -> np.ndarray:
-    """Per-example seeds, m*k x n x k for the m examples of `examples`:
-    seed (i, c) is zero except on example i's row, which is blocks[i][c]
-    (blocks is n x k x k)."""
-    n, k, _ = blocks.shape
+    """Per-example seeds, m*c x n x k for the m examples of `examples`:
+    seed (i, j) is zero except on example i's row, which is blocks[i][j]
+    (blocks is n x c x k)."""
+    n, c, k = blocks.shape
     idx = np.arange(examples.start, examples.stop)
-    seeds = np.zeros((idx.size, k, n, k))
+    seeds = np.zeros((idx.size, c, n, k))
     seeds[np.arange(idx.size), :, idx, :] = blocks[idx]
     return seeds.reshape(-1, n, k)
 
@@ -455,25 +455,35 @@ def layer_norms(params: NetworkParams) -> np.ndarray:
 # --- checkpoints ------------------------------------------------------------
 #
 # One JSON header line, then the canonical parameter flattening as raw
-# little-endian float64, which round-trips bit-exactly.
+# little-endian float64, which round-trips bit-exactly, then ("bn_count"
+# values) each BN layer's running means and variances in layer order.
+# Checkpoints written before the statistics were stored have no "bn_count".
 
 
-def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams, seed: int, epoch: int) -> None:
+def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams, bn_state: BnState | None,
+                    seed: int, epoch: int) -> None:
+    if spec.has_bn and bn_state is None:
+        raise ContractError("a batch-norm net's checkpoint needs its running statistics")
     theta = flatten_params(spec, params)
+    stats = [] if bn_state is None else [
+        v for m, var in zip(bn_state.means, bn_state.variances) if m is not None for v in (m, var)]
     header = {
         "format": "binary",
         "spec": spec.to_dict(),
         "seed": int(seed),
         "epoch": int(epoch),
         "count": int(theta.size),
+        "bn_count": int(sum(v.size for v in stats)),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(theta.astype("<f8").tobytes())
+        fh.write(np.concatenate([theta, *stats]).astype("<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, int, int]:
+def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, BnState | None, int, int]:
+    """(spec, params, bn_state, seed, epoch); bn_state is None without BN
+    and for BN checkpoints written before the statistics were stored."""
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\n")
@@ -483,16 +493,38 @@ def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, int, int]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"checkpoint: bad JSON header before offset {nl}: {exc}") from exc
-    spec = NetworkSpec.from_dict(header["spec"])
-    count = int(header["count"])
+    if not isinstance(header, dict):
+        raise DataFormatError(f"checkpoint: header before offset {nl} is not a JSON object")
+    if header.get("format") != "binary":
+        raise DataFormatError(f"checkpoint: unknown format {header.get('format')!r}, expected 'binary'")
+    for key, kind in (("spec", dict), ("count", int), ("seed", int), ("epoch", int)):
+        if not isinstance(header.get(key), kind) or isinstance(header[key], bool):
+            raise DataFormatError(f"checkpoint: header key {key!r} is missing or not a JSON "
+                                  f"{'object' if kind is dict else 'integer'}")
+    try:
+        spec = NetworkSpec.from_dict(header["spec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"checkpoint: header key 'spec' is malformed: {exc!r}") from exc
+    expected = 2 * sum(spec.layer_dims[l + 1] for l in range(spec.n_hidden) if spec.use_bn[l])
+    count, bn_count = header["count"], header.get("bn_count")
+    if bn_count not in (None, expected):
+        raise DataFormatError(f"checkpoint: header key 'bn_count' is {bn_count!r}, "
+                              f"expected {expected} for its spec")
     payload = raw[nl + 1 :]
-    if header["format"] != "binary":
-        raise DataFormatError(f"checkpoint: unknown format {header['format']!r}, expected 'binary'")
-    if len(payload) != count * 8:
+    size = 8 * (count + (bn_count or 0))
+    if len(payload) != size:
         raise DataFormatError(
-            f"checkpoint: binary payload is {len(payload)} bytes at offset {nl + 1}, "
-            f"expected {count * 8}"
+            f"checkpoint: binary payload is {len(payload)} bytes at offset {nl + 1}, expected {size}"
         )
-    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    params = unflatten_params(spec, theta)
-    return spec, params, int(header["seed"]), int(header["epoch"])
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    params = unflatten_params(spec, values[:count])
+    bn_state = None
+    if bn_count:
+        bn_state = BnState.fresh(spec)
+        off = count
+        for l, m in enumerate(bn_state.means):
+            if m is not None:
+                bn_state.means[l] = values[off : off + m.size]
+                bn_state.variances[l] = values[off + m.size : off + 2 * m.size]
+                off += 2 * m.size
+    return spec, params, bn_state, header["seed"], header["epoch"]

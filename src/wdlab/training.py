@@ -245,7 +245,7 @@ def train(
             diagnostics.write_kfac_health(health_path, opt_state.health)
 
     checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.bin")
-    nn.save_checkpoint(checkpoint_path, spec, params, cfg.seed, cfg.epochs)
+    nn.save_checkpoint(checkpoint_path, spec, params, bn_state, cfg.seed, cfg.epochs)
     return RunResult(
         config=cfg,
         spec=spec,

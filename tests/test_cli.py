@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -189,12 +192,16 @@ def test_diag_command_reads_checkpoint(tmp_path, capsys):
     assert json.loads(json_path.read_text()) == payload
 
 
-def test_diag_matches_recorded_metrics(tmp_path, capsys):
-    # A bias-free net without batch norm has no hidden evaluation state, so
+@pytest.mark.parametrize("net", [
+    dict(),
+    dict(layer_dims=(6, 8, 8, 3), batchnorm=True, seed=3, probe_size=16),
+], ids=["plain", "bn"])
+def test_diag_matches_recorded_metrics(tmp_path, capsys, net):
+    # The checkpoint holds the weights and a BN net's running statistics, so
     # the recomputed record must agree with what training logged, including
     # the learning rate the schedule had dropped to by the last epoch.
     ini = write_ini(tmp_path, tiny_config(tmp_path / "run", epochs=3, schedule=(1, 2),
-                                          n_test=0, trace_layers=(0,), trace_size=16))
+                                          n_test=0, trace_layers=(0,), trace_size=16, **net))
     assert cli.main(["train", "--config", str(ini)]) == 0
     capsys.readouterr()
     code = cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")])
@@ -203,7 +210,51 @@ def test_diag_matches_recorded_metrics(tmp_path, capsys):
     final = diagnostics.load_metrics(tmp_path / "run" / "metrics.csv")[-1]
     assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
     assert payload["jacobian_norm"] == pytest.approx(final.jacobian_norm, rel=1e-12)
+    assert payload["kfac_gn_norm"] == pytest.approx(final.kfac_gn_norm, rel=1e-12)
     assert payload["effective_lrs"] == pytest.approx(final.effective_lrs, rel=1e-12)
     # the probe and trace rows are the ones train measured (no test split here)
     assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
     assert payload["gn_traces"]["0"] == pytest.approx(final.gn_traces[0], rel=1e-12)
+
+
+def test_diag_flags_a_bn_checkpoint_without_statistics(tmp_path, capsys):
+    # checkpoints written before the BN statistics were stored still load
+    cfg = tiny_config(tmp_path / "run", layer_dims=(6, 8, 8, 3), batchnorm=True)
+    assert cli.main(["train", "--config", str(write_ini(tmp_path, cfg))]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    head, payload = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    count = header.pop("bn_count")
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload[: -8 * count])
+    capsys.readouterr()
+    assert cli.main(["diag", str(ckpt)]) == 0
+    assert "mean 0 and variance 1" in capsys.readouterr().err
+
+
+def test_diag_rejects_a_malformed_checkpoint_header(tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(b'{"format": "binary", "count": 0}\n')
+    assert cli.main(["diag", str(ckpt)]) == 2
+    assert "error: checkpoint: header key 'spec'" in capsys.readouterr().err
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    # every flag on a README synopsis line is the parser's and vice versa,
+    # and each line's required arguments parse
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [l for l in readme.splitlines() if l.startswith("wdlab ")]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(l.split()[1] for l in lines) == sorted(subparsers.choices)
+
+    def flags(parser):
+        return {o for a in parser._actions for o in a.option_strings
+                if o.startswith("--") and o != "--help"}
+
+    for line in lines:
+        command = line.split()[1]
+        listed = set(re.findall(r"--[a-z-]+", line))
+        if "[config flags]" in line:
+            listed |= flags(subparsers.choices["train"])
+        assert listed == flags(subparsers.choices[command]), line
+        cli.build_parser().parse_args(re.sub(r"\[[^]]*\]", "", line).split()[1:])

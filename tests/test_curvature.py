@@ -471,12 +471,11 @@ def test_normalized_trace_matches_dense_block_trace():
     for layer in range(spec.n_layers):
         norm_sq = float(np.sum(params.weights[layer] ** 2))
         dense_gn = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
-        got = curvature.normalized_trace("gn", spec, params, x, layer)
+        got, got_f = curvature.normalized_traces(spec, params, x, layer)
         expected = norm_sq * float(np.trace(dense_gn[slices[layer], slices[layer]]))
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
         dense_f = curvature.dense_curvature(curvature.FISHER_EXACT, spec, params, x)
-        got_f = curvature.normalized_trace("fisher", spec, params, x, layer)
         expected_f = norm_sq * float(np.trace(dense_f[slices[layer], slices[layer]]))
         assert abs(got_f - expected_f) <= 1e-10 * abs(expected_f)
 
@@ -488,12 +487,10 @@ def test_normalized_trace_invariant_to_bn_layer_rescaling():
     params.weights[1] *= 8.0
     x = rng.normal(size=(6, 4)) * 10.0
     for layer in (0, 1):
-        base_gn = curvature.normalized_trace("gn", spec, params, x, layer)
-        base_f = curvature.normalized_trace("fisher", spec, params, x, layer)
+        base_gn, base_f = curvature.normalized_traces(spec, params, x, layer)
         for alpha in (0.5, 2.0):
             scaled = nn.scale_layer(params, layer, alpha)
-            got_gn = curvature.normalized_trace("gn", spec, scaled, x, layer)
-            got_f = curvature.normalized_trace("fisher", spec, scaled, x, layer)
+            got_gn, got_f = curvature.normalized_traces(spec, scaled, x, layer)
             assert abs(got_gn - base_gn) <= 1e-8 * abs(base_gn)
             assert abs(got_f - base_f) <= 1e-8 * abs(base_f)
 
@@ -518,7 +515,7 @@ def test_normalized_trace_single_layer_identity_inputs_is_kron_trace():
     params = nn.NetworkParams(weights=[rng.normal(size=(2, 3))])
     x = np.eye(3)
     [(a, s)] = estimate_factors("gn", spec, params, x)
-    raw = curvature.normalized_trace("gn", spec, params, x, 0) / np.sum(
+    raw = curvature.normalized_traces(spec, params, x, 0)[0] / np.sum(
         params.weights[0] ** 2
     )
     assert_allclose(raw, np.trace(np.kron(s, a)), rtol=1e-10)
@@ -533,8 +530,7 @@ def test_normalized_trace_fisher_collapses_for_confident_classifier():
     params = nn.init_params(spec, rng)
     params.weights[1] *= 50.0  # drive the logit gaps up
     x = rng.normal(size=(6, 3)) + 2.0
-    fisher = curvature.normalized_trace("fisher", spec, params, x, 0)
-    gn = curvature.normalized_trace("gn", spec, params, x, 0)
+    gn, fisher = curvature.normalized_traces(spec, params, x, 0)
     assert fisher < 1e-3 * gn
 
 
@@ -543,14 +539,12 @@ def test_normalized_trace_validation():
     spec = nn.mlp((3, 4, 2))
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(4, 3))
-    with pytest.raises(DomainError):
-        curvature.normalized_trace("hessian", spec, params, x, 0)
     with pytest.raises(ShapeError):
-        curvature.normalized_trace("gn", spec, params, x, 5)
+        curvature.normalized_traces(spec, params, x, 5)
     zeroed = params.copy()
     zeroed.weights[0][:] = 0.0
     with pytest.raises(DegenerateError):
-        curvature.normalized_trace("gn", spec, zeroed, x, 0)
+        curvature.normalized_traces(spec, zeroed, x, 0)
 
 
 @settings(max_examples=10, deadline=None)

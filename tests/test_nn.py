@@ -403,23 +403,33 @@ def test_init_params_is_seed_deterministic_and_shaped():
 @pytest.mark.parametrize("fmt", ["binary"])
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, fmt):
     rng = np.random.default_rng(16)
-    spec = nn.NetworkSpec((4, 6, 3), use_bn=(True,), use_bias=False)
+    spec = nn.NetworkSpec((4, 6, 5, 3), use_bn=(True, False), use_bias=False)
     params = nn.init_params(spec, rng)
+    state = nn.BnState.fresh(spec)
+    nn.forward(spec, params, rng.normal(size=(8, 4)), mode="train", bn_state=state)
     path = tmp_path / f"ckpt.{fmt}"
-    nn.save_checkpoint(path, spec, params, seed=123, epoch=7)
-    spec2, params2, seed, epoch = nn.load_checkpoint(path)
+    nn.save_checkpoint(path, spec, params, state, seed=123, epoch=7)
+    spec2, params2, state2, seed, epoch = nn.load_checkpoint(path)
     assert spec2 == spec
     assert (seed, epoch) == (123, 7)
     for w1, w2 in zip(params.weights, params2.weights):
         assert np.array_equal(w1, w2)
-    # older checkpoints also carry the weight shapes in their header
+    assert np.array_equal(state2.means[0], state.means[0])
+    assert np.array_equal(state2.variances[0], state.variances[0])
+    assert state2.means[1] is None and state2.variances[1] is None
+    # older checkpoints also carry the weight shapes in their header, and
+    # hold no BN statistics: those load without them
     head, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(head)
     header["shapes"] = [list(spec.weight_shape(l)) for l in range(spec.n_layers)]
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    _, params3, _, _ = nn.load_checkpoint(path)
+    del header["bn_count"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload[: 8 * spec.n_params])
+    _, params3, state3, _, _ = nn.load_checkpoint(path)
     for w1, w3 in zip(params.weights, params3.weights):
         assert np.array_equal(w1, w3)
+    assert state3 is None
+    with pytest.raises(ContractError):
+        nn.save_checkpoint(path, spec, params, None, seed=0, epoch=0)
 
 
 def test_checkpoint_binary_is_save_load_save_stable(tmp_path):
@@ -427,8 +437,8 @@ def test_checkpoint_binary_is_save_load_save_stable(tmp_path):
     spec = nn.mlp((3, 5, 2))
     params = nn.init_params(spec, rng)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    nn.save_checkpoint(p1, spec, params, seed=0, epoch=0)
-    nn.save_checkpoint(p2, *nn.load_checkpoint(p1)[:2], seed=0, epoch=0)
+    nn.save_checkpoint(p1, spec, params, None, seed=0, epoch=0)
+    nn.save_checkpoint(p2, *nn.load_checkpoint(p1)[:3], seed=0, epoch=0)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -437,7 +447,7 @@ def test_checkpoint_reports_corruption_with_offsets(tmp_path):
     spec = nn.mlp((3, 4, 2))
     params = nn.init_params(spec, rng)
     path = tmp_path / "ckpt.bin"
-    nn.save_checkpoint(path, spec, params, seed=1, epoch=2)
+    nn.save_checkpoint(path, spec, params, None, seed=1, epoch=2)
     raw = path.read_bytes()
 
     headerless = tmp_path / "no_newline.bin"
@@ -455,12 +465,30 @@ def test_checkpoint_reports_corruption_with_offsets(tmp_path):
     with pytest.raises(DataFormatError, match="bytes"):
         nn.load_checkpoint(truncated)
 
+    head, payload = raw.split(b"\n", 1)
+    header = json.loads(head)
+    bad_headers = [
+        ([1, 2], "not a JSON object"),
+        ({"format": "binary", "count": 0}, "'spec'"),
+        ({**header, "spec": "6-8-3"}, "'spec'"),
+        ({**header, "spec": {"layer_dims": [3, 4, 2]}}, "'spec'"),
+        ({**header, "count": "26"}, "'count'"),
+        ({k: v for k, v in header.items() if k != "seed"}, "'seed'"),
+        ({**header, "epoch": 2.5}, "'epoch'"),
+        ({**header, "bn_count": 4}, "'bn_count'"),
+    ]
+    for doc, message in bad_headers:
+        malformed = tmp_path / "malformed.bin"
+        malformed.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        with pytest.raises(DataFormatError, match=message):
+            nn.load_checkpoint(malformed)
+
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
     rng = np.random.default_rng(19)
     spec = nn.mlp((2, 2))
     path = tmp_path / "ckpt.bin"
-    nn.save_checkpoint(path, spec, nn.init_params(spec, rng), 0, 0)
+    nn.save_checkpoint(path, spec, nn.init_params(spec, rng), None, 0, 0)
     header, payload = path.read_bytes().split(b"\n", 1)
     doc = json.loads(header)
     assert doc["format"] == "binary"

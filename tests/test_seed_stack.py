@@ -5,8 +5,9 @@ now runs as a few stacked `nn.vjp` calls.  The reference loops below are the
 per-seed forms those probes replaced, one 2-D `nn.vjp` call per seed; each
 probe is compared with its loop on small BN and non-BN nets.  Where the
 stacked form keeps the per-seed accumulation order the results must be
-bit-equal; the BN traces (Gram identity) and the Jacobians only to 1e-12
-relative.
+bit-equal; the BN traces (Gram identity), the Fisher traces (mixed by
+linearity from the one-hot and softmax seeds) and the Jacobians only to
+1e-12 relative.
 """
 
 import numpy as np
@@ -192,13 +193,13 @@ def check_probes(net):
         assert np.array_equal(g, want)
 
     for layer in range(spec.n_layers):
-        for kind in ("gn", "fisher"):
-            got = curvature.normalized_trace(kind, spec, params, x, layer)
-            want = ref_normalized_trace(kind, spec, params, x, layer)
-            if spec.has_bn:
-                assert rel(got, want) <= 1e-12
-            else:
-                assert got == want
+        gn, fisher = curvature.normalized_traces(spec, params, x, layer)
+        want_gn = ref_normalized_trace("gn", spec, params, x, layer)
+        if spec.has_bn:
+            assert rel(gn, want_gn) <= 1e-12
+        else:
+            assert gn == want_gn
+        assert rel(fisher, ref_normalized_trace("fisher", spec, params, x, layer)) <= 1e-12
 
     state = None
     if spec.has_bn:
@@ -245,3 +246,29 @@ def test_jacobian_norm_makes_one_backward_per_chunk(monkeypatch):
     diagnostics.jacobian_frob_norm(spec, params, x)
     assert len(calls) == 4  # 16 + 16 + 16 + 2 rows, not 50 x 4 seeds
     assert [s[:2] for s in calls] == [(4, 16)] * 3 + [(4, 2)]
+
+
+@pytest.mark.parametrize("net", NETS, ids=NET_IDS)
+def test_normalized_traces_share_one_forward_and_one_seed_stack(net, monkeypatch):
+    # the softmax joins the one-hot seeds as one more seed (one per example
+    # under BN) instead of the Fisher trace running its own forward and seeds
+    spec, params, x = small_net(7, **net)
+    n, k = x.shape[0], spec.output_dim
+    forwards, seeds = [], []
+    true_forward, true_vjp = nn.forward, nn.vjp
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(args[2].shape)
+        return true_forward(*args, **kwargs)
+
+    def counting_vjp(*args, **kwargs):
+        seeds.append(1 if args[3].ndim == 2 else args[3].shape[0])
+        return true_vjp(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting_forward)
+    monkeypatch.setattr(nn, "vjp", counting_vjp)
+    monkeypatch.setattr(nn, "SEED_ROWS", 80)  # several chunks either way
+    curvature.normalized_traces(spec, params, x, 1)
+    assert forwards == [x.shape]
+    assert sum(seeds) == ((k + 1) * n if spec.has_bn else k + 1)
+    assert len(seeds) > 1

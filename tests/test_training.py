@@ -118,10 +118,11 @@ def test_schedule_drops_recorded_effective_lr(tmp_path):
 def test_checkpoint_written_and_loadable(tmp_path):
     cfg = tiny_config(tmp_path)
     result = training.train(cfg)
-    spec, params, seed, epoch = nn.load_checkpoint(result.checkpoint_path)
+    spec, params, bn_state, seed, epoch = nn.load_checkpoint(result.checkpoint_path)
     assert spec == result.spec
     for saved, live in zip(params.weights, result.params.weights):
         npt.assert_array_equal(saved, live)
+    assert bn_state is None
     assert seed == cfg.seed
     assert epoch == cfg.epochs
 
