@@ -15,7 +15,7 @@ import dataclasses
 import io
 from dataclasses import dataclass
 
-from . import curvature, nn, optim
+from . import nn, optim
 from .errors import DataFormatError, DomainError, InstabilityError
 
 OPTIMIZERS = ("sgd", "adam", "kfac_fisher", "kfac_gn")
@@ -45,7 +45,6 @@ class ExperimentConfig:
     stats_every: int = 10
     invert_every: int = 100
     factor_decay: float = 0.95
-    damping: str = "factored"
     # coupling
     coupling: str = optim.COUPLING_NONE
     beta: float = 0.0
@@ -72,10 +71,6 @@ class ExperimentConfig:
             raise DomainError(f"unknown coupling {self.coupling!r}")
         if self.mask not in optim.MASK_PRESETS:
             raise DomainError(f"unknown mask {self.mask!r}; choose from {optim.MASK_PRESETS}")
-        if self.damping not in curvature.DAMPING_MODES:
-            raise DomainError(
-                f"unknown damping {self.damping!r}; choose from {curvature.DAMPING_MODES}"
-            )
         if self.n_train < 1 or self.n_val < 0 or self.n_test < 0:
             raise DomainError(
                 f"split sizes must be positive train / nonnegative val, test; got "
@@ -91,6 +86,8 @@ class ExperimentConfig:
             raise DomainError("mnist dataset needs images= and labels= paths")
         if self.eta <= 0:
             raise DomainError(f"eta must be positive, got {self.eta}")
+        if self.beta < 0:
+            raise DomainError(f"beta must be nonnegative, got {self.beta}")
         if self.momentum > 0 and self.optimizer != "sgd":
             raise DomainError(f"momentum applies to sgd only, not {self.optimizer}")
         if not 0.0 <= self.factor_decay < 1.0:
@@ -154,7 +151,6 @@ _LAYOUT = {
         ("stats_every", "stats_every", int),
         ("invert_every", "invert_every", int),
         ("factor_decay", "factor_decay", float),
-        ("damping", "damping", str),
     ),
     "coupling": (
         ("mode", "coupling", str),
@@ -205,7 +201,8 @@ def _format_value(value, kind) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an INI experiment file; unknown sections or keys are errors."""
+    """Parse an INI experiment file; unknown sections or keys are errors, but
+    older files' `[optimizer] damping = factored` is read and ignored."""
     with open(path) as fh:
         return parse_config_text(fh.read(), source=str(path))
 
@@ -223,6 +220,10 @@ def _from_parser(parser: configparser.ConfigParser, source: str) -> ExperimentCo
             raise DataFormatError(f"{source}: unknown section [{section}]")
         known = {key: (attr, kind) for key, attr, kind in _LAYOUT[section]}
         for key, raw in parser.items(section):
+            if section == "optimizer" and key == "damping":  # older files name the one damping
+                if raw.strip() != "factored":
+                    raise DataFormatError(f"{source}: optimizer.damping: dense damping was removed")
+                continue
             if key not in known:
                 raise DataFormatError(f"{source}: unknown key {key!r} in [{section}]")
             attr, kind = known[key]

@@ -32,7 +32,6 @@ FISHER_EXACT = "fisher_exact"
 GAUSS_NEWTON = "gauss_newton"
 GENERALIZED_GN = "generalized_gn"
 CURVATURE_KINDS = (FISHER_EXACT, GAUSS_NEWTON, GENERALIZED_GN)
-DAMPING_MODES = ("factored", "dense")
 
 CLASS_CAP = 16
 
@@ -126,17 +125,13 @@ class KfacFactors:
     a_factors[l] is the input second moment of layer l (with a trailing
     homogeneous coordinate when the network has biases); s_factors[l] the
     pre-activation-gradient second moment.  inverses[l], computed at inversion
-    time and deliberately stale until the next inversion, holds
-    ((S + sqrt(lam) I)^-1, (A + sqrt(lam) I)^-1, None) under factored damping
-    and (Q_S, Q_A, mu_S mu_A^T + lam) from the eigenpairs under dense damping.
-    spectra[l], from the same eigendecomposition, is the layer's
-    FactorSpectrum at the last inversion.
+    time and deliberately stale until the next inversion, holds the factored
+    Tikhonov pair ((S + sqrt(lam) I)^-1, (A + sqrt(lam) I)^-1).
     """
 
     a_factors: list[np.ndarray]
     s_factors: list[np.ndarray]
-    inverses: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] | None = None
-    spectra: list[FactorSpectrum] | None = None
+    inverses: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     @staticmethod
     def zeros(spec: nn.NetworkSpec) -> "KfacFactors":
@@ -224,23 +219,19 @@ def update_factors_ema(
     return state
 
 
-def invert_factors(state: KfacFactors, lam: float, damping: str = "factored") -> KfacFactors:
-    """Compute and store every layer's damped inverse for preconditioning,
-    and its factor spectrum from the same eigendecomposition."""
+def invert_factors(state: KfacFactors, lam: float) -> list[FactorSpectrum]:
+    """Store every layer's factored Tikhonov inverses ((S + sqrt(lam) I)^-1,
+    (A + sqrt(lam) I)^-1) for preconditioning, and return the layers' factor
+    spectra from the same eigendecompositions."""
     if lam <= 0.0:
         raise DomainError(f"damping must be positive, got {lam}")
-    if damping not in DAMPING_MODES:
-        raise DomainError(f"unknown damping mode {damping!r}; choose from {DAMPING_MODES}")
     root = np.sqrt(lam)
     inverses, spectra = [], []
     for a, s in zip(state.a_factors, state.s_factors):
         ea, es = linalg.sym_eig(a), linalg.sym_eig(s)
         qa, qs = ea.eigenvectors, es.eigenvectors
-        if damping == "factored":
-            inverses.append(((qs / (es.eigenvalues + root)) @ qs.T,
-                             (qa / (ea.eigenvalues + root)) @ qa.T, None))
-        else:
-            inverses.append((qs, qa, np.outer(es.eigenvalues, ea.eigenvalues) + lam))
+        inverses.append(((qs / (es.eigenvalues + root)) @ qs.T,
+                         (qa / (ea.eigenvalues + root)) @ qa.T))
         # the eigenvalues of S (x) A are all products mu_S mu_A, so their
         # mean is the product of the factors' means
         mean_sa = float(np.mean(ea.eigenvalues)) * float(np.mean(es.eigenvalues))
@@ -250,30 +241,26 @@ def invert_factors(state: KfacFactors, lam: float, damping: str = "factored") ->
             damping_ratio=lam / mean_sa if mean_sa > 0.0 else float("inf"),
         ))
     state.inverses = inverses
-    state.spectra = spectra
-    return state
+    return spectra
 
 
 def apply_preconditioner(state: KfacFactors, layer: int, grad) -> np.ndarray:
-    """Apply the stored damped inverse of S_l (x) A_l to a layer gradient.
+    """Apply the stored inverse of (S_l + sqrt(lam) I) (x) (A_l + sqrt(lam) I)
+    to a layer gradient: S^-1 V A^-1, writing S and A for the damped factors.
 
     `grad` is either the out x in(+1) matrix V, laid out like the weight
     matrix (with the bias gradient as a trailing column when present), or
     the pair (ds, a) of its thin factors V = ds^T a: ds the n x out
     pre-activation gradients, a the n x in(+1) layer inputs (with the column
     of ones when the network has biases).  A minibatch gradient has rank at
-    most n, so the pair route never forms V: factored damping computes
-    (S + sqrt(lam) I)^-1 V (A + sqrt(lam) I)^-1 as
-    ((S + sqrt(lam) I)^-1 ds^T)(a (A + sqrt(lam) I)^-1); dense damping
-    inverts S (x) A + lam I through the factors' eigenbases and forms its
-    core Q_S^T V Q_A as (Q_S^T ds^T)(a Q_A).  Where n >= out (a narrow
-    output layer) the n x out product is taken first instead, which is the
-    cheaper order there.
+    most n, so the pair route never forms V: it computes (S^-1 ds^T)(a A^-1).
+    Where n >= out (a narrow output layer) the n x out product is taken
+    first instead, which is the cheaper order there.
     """
     if state.inverses is None:
         raise ContractError("factors have not been inverted yet")
-    s_side, a_side, denom = state.inverses[layer]
-    want = (s_side.shape[0], a_side.shape[0])
+    s_inv, a_inv = state.inverses[layer]
+    want = (s_inv.shape[0], a_inv.shape[0])
     if isinstance(grad, tuple):
         ds, a = (np.asarray(m, dtype=np.float64) for m in grad)
         if (ds.ndim != 2 or a.ndim != 2 or ds.shape[0] != a.shape[0]
@@ -282,22 +269,16 @@ def apply_preconditioner(state: KfacFactors, layer: int, grad) -> np.ndarray:
                 f"layer {layer}: gradient factors {ds.shape}/{a.shape} do not match factors "
                 f"({want[0]} x {want[1]})"
             )
-        left = (s_side if denom is None else s_side.T) @ ds.T
-        # a (A + sqrt(lam) I)^-1 costs n in^2, V (A + sqrt(lam) I)^-1 out in^2
-        core = left @ (a @ a_side) if ds.shape[0] < want[0] else (left @ a) @ a_side
-        if denom is None:
-            return core
-    else:
-        v = np.asarray(grad, dtype=np.float64)
-        if v.shape != want:
-            raise ShapeError(
-                f"layer {layer}: gradient shape {v.shape} does not match factors "
-                f"({want[0]} x {want[1]})"
-            )
-        if denom is None:
-            return s_side @ v @ a_side
-        core = s_side.T @ v @ a_side
-    return s_side @ (core / denom) @ a_side.T
+        left = s_inv @ ds.T
+        # a A^-1 costs n in^2, V A^-1 out in^2
+        return left @ (a @ a_inv) if ds.shape[0] < want[0] else (left @ a) @ a_inv
+    v = np.asarray(grad, dtype=np.float64)
+    if v.shape != want:
+        raise ShapeError(
+            f"layer {layer}: gradient shape {v.shape} does not match factors "
+            f"({want[0]} x {want[1]})"
+        )
+    return s_inv @ v @ a_inv
 
 
 # --- metric norms -----------------------------------------------------------

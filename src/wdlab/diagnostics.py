@@ -99,7 +99,7 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) on integer-labelled data, eval-mode BN."""
     logits, _ = nn.forward(spec, params, x, mode="eval", bn_state=bn_state)
-    value, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, labels)
+    value, _ = loss.loss_and_grad(logits, labels)
     return value, float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

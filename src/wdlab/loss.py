@@ -1,7 +1,8 @@
 """Loss functions, softmax outputs, and the output-layer Hessian.
 
-Both losses reduce by the batch mean.  Squared error carries a 1/2 per
-example so its output Hessian is exactly the identity.
+Softmax cross-entropy, reduced by the batch mean, is the training loss.
+Squared error is kept as the oracles' Gaussian output model: it carries a
+1/2 per example, so its output Hessian is exactly the identity.
 """
 
 from __future__ import annotations
@@ -34,37 +35,23 @@ def _check_labels(labels: np.ndarray, k: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def loss_and_grad(kind: str, logits, targets) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its gradient with respect to the logits.
-
-    cross_entropy_softmax: targets are integer class labels; the per-row
-    gradient is (softmax(z) - onehot(y)) / n.
-    squared_error: targets are real vectors of the logits' shape; the loss is
-    mean over examples of 0.5 * ||z - t||^2 and the gradient (z - t) / n.
-    """
+def loss_and_grad(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch, the training loss, for
+    integer class labels, and its logit gradient (softmax(z) - onehot(y)) / n."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ShapeError(f"logits must be n x k, got shape {z.shape}")
     n, k = z.shape
-    if kind == CROSS_ENTROPY:
-        y = _check_labels(targets, k)
-        if y.shape[0] != n:
-            raise ShapeError(f"{n} logit rows but {y.shape[0]} labels")
-        shifted = z - np.max(z, axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        log_p = shifted - log_norm[:, None]
-        loss = float(-np.mean(log_p[np.arange(n), y]))
-        grad = np.exp(log_p)
-        grad[np.arange(n), y] -= 1.0
-        return loss, grad / n
-    if kind == SQUARED_ERROR:
-        t = np.asarray(targets, dtype=np.float64)
-        if t.shape != z.shape:
-            raise ShapeError(f"targets shape {t.shape} != logits shape {z.shape}")
-        diff = z - t
-        loss = float(0.5 * np.sum(diff * diff) / n)
-        return loss, diff / n
-    raise DomainError(f"unknown loss kind {kind!r}")
+    y = _check_labels(labels, k)
+    if y.shape[0] != n:
+        raise ShapeError(f"{n} logit rows but {y.shape[0]} labels")
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
+    log_p = shifted - log_norm[:, None]
+    loss = float(-np.mean(log_p[np.arange(n), y]))
+    grad = np.exp(log_p)
+    grad[np.arange(n), y] -= 1.0
+    return loss, grad / n
 
 
 def output_hessian(kind: str, logits) -> np.ndarray:

@@ -255,7 +255,6 @@ class KfacState:
     t_stats: int = 10
     t_inv: int = 100
     factor_decay: float = 0.95
-    damping_mode: str = "factored"
     rng: np.random.Generator | None = None
     base_eta: float = field(init=False)
     step: int = 0
@@ -290,7 +289,7 @@ def kfac_step(
 
     The trace feeds the factor statistics when they are due; each inversion
     appends the layers' factor spectra to `state.health`.  The direction is
-    the gradient preconditioned by the stored damped factor inverses, which
+    the gradient preconditioned by the stored factored Tikhonov inverses, which
     take a layer's rank-n gradient as its thin factors (ds, a) unless an l2
     term made it full rank.
     """
@@ -301,8 +300,7 @@ def kfac_step(
         fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
-        curvature.invert_factors(state.factors, state.lam, state.damping_mode)
-        state.health.append((state.step, state.factors.spectra))
+        state.health.append((state.step, curvature.invert_factors(state.factors, state.lam)))
 
     def precondition(l, grad):
         if isinstance(grad, tuple):  # the factors' a carries the column of ones

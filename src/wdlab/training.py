@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import curvature, data, diagnostics, loss, nn, optim
-from .errors import DomainError, TrainingDiverged
+from .errors import DomainError, InstabilityError, TrainingDiverged
 
 
 @dataclass
@@ -126,7 +126,6 @@ def make_optimizer(cfg: config_mod.ExperimentConfig):
         t_stats=cfg.stats_every,
         t_inv=cfg.invert_every,
         factor_decay=cfg.factor_decay,
-        damping_mode=cfg.damping,
         rng=rng,
     )
 
@@ -135,7 +134,7 @@ def _minibatch_pass(spec, params, bn_state, opt_state, coupling, x, y):
     """One optimizer update on one minibatch; returns (params, batch loss).
     Its one forward and backward serve every optimizer and K-FAC's factors."""
     logits, trace = nn.forward(spec, params, x, mode="train", bn_state=bn_state)
-    value, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    value, dl = loss.loss_and_grad(logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dl)
     grads = list(zip(s_grads, trace.layer_inputs))
     if isinstance(opt_state, optim.KfacState):
@@ -283,23 +282,31 @@ def _cell_dir(base_out: str, eta: float, beta: float) -> str:
     return os.path.join(base_out, "cells", f"eta{eta:g}_beta{beta:g}")
 
 
+def _cell_task(base, eta: float, beta: float, dataset):
+    """`_run_cell`'s arguments, built before any cell trains so a bad value
+    raises first; a cell with eta*beta >= 1 gets no config: it is rejected."""
+    out_dir = _cell_dir(base.out_dir, eta, beta)
+    try:
+        cell_cfg = dataclasses.replace(base, eta=eta, beta=beta, out_dir=out_dir)
+    except InstabilityError:
+        cell_cfg = None
+    return eta, beta, out_dir, cell_cfg if eta * beta < 1.0 else None, dataset
+
+
 def _run_cell(args) -> CellResult:
-    cfg, eta, beta, dataset = args
-    out_dir = _cell_dir(cfg.out_dir, eta, beta)
-    if eta * beta >= 1.0:  # before the config, which would refuse it
+    eta, beta, out_dir, cell_cfg, dataset = args
+    if cell_cfg is None:
         return CellResult(eta, beta, "rejected", float("nan"), out_dir,
                           detail="eta*beta >= 1 would flip the decayed weights")
-    cell_cfg = dataclasses.replace(cfg, eta=eta, beta=beta, out_dir=out_dir)
     try:
         result = train(cell_cfg, dataset=dataset)
     except TrainingDiverged as exc:
-        return CellResult(eta, beta, "diverged", float("nan"), cell_cfg.out_dir,
-                          detail=str(exc))
+        return CellResult(eta, beta, "diverged", float("nan"), out_dir, detail=str(exc))
     x_val, y_val = dataset.split("val")
     _, acc = diagnostics.evaluate(
         result.spec, result.params, x_val, y_val, bn_state=result.bn_state
     )
-    return CellResult(eta, beta, "trained", acc, cell_cfg.out_dir)
+    return CellResult(eta, beta, "trained", acc, out_dir)
 
 
 def grid(
@@ -318,7 +325,7 @@ def grid(
     dataset = build_dataset(base)
     if dataset.split("val")[0].shape[0] == 0:
         raise DomainError("grid search needs a nonempty validation split")
-    tasks = [(base, eta, beta, dataset) for eta in etas for beta in betas]
+    tasks = [_cell_task(base, eta, beta, dataset) for eta in etas for beta in betas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_run_cell, tasks))

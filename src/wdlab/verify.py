@@ -249,13 +249,13 @@ def _normalized_step_discrepancy(spec, params, x, y, eta, lam):
     theta_hat = (w0 / norm).ravel()
 
     logits, trace = nn.forward(spec, params, x, mode="train")
-    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    _, dz = loss.loss_and_grad(logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dz)
     g0 = s_grads[0].T @ trace.layer_inputs[0]
 
     scaled = nn.scale_layer(params, 0, 1.0 / norm)
     logits_s, trace_s = nn.forward(spec, scaled, x, mode="train")
-    _, dz_s = loss.loss_and_grad(loss.CROSS_ENTROPY, logits_s, y)
+    _, dz_s = loss.loss_and_grad(logits_s, y)
     s_grads_s, _ = nn.vjp(spec, scaled, trace_s, dz_s)
     g_hat = (s_grads_s[0].T @ trace_s.layer_inputs[0]).ravel()
 

@@ -50,7 +50,7 @@ def loss_grad_pairs(spec, params, x, y):
     """Per-layer (ds, a) pairs of the mean cross-entropy gradient on a
     train-mode forward: the gradients the optimizer steps take."""
     logits, trace = nn.forward(spec, params, x, mode="train")
-    _, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    _, dl = loss.loss_and_grad(logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dl)
     return list(zip(s_grads, trace.layer_inputs))
 
@@ -60,7 +60,7 @@ def kfac_batch_step(state, spec, params, batch, coupling=optim.Coupling()):
     forward, cross-entropy gradient and backward that training runs for it."""
     x, y = batch
     logits, trace = nn.forward(spec, params, x, mode="train")
-    _, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    _, dl = loss.loss_and_grad(logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dl)
     return optim.kfac_step(state, spec, params, trace, list(zip(s_grads, trace.layer_inputs)),
                            coupling)
@@ -81,16 +81,13 @@ def _symmetric_matrix(m, name):
     return a
 
 
-def kron_precondition(a, s, v, lam, damping="factored"):
-    """Reference: apply the inverse of the damped Kronecker product S (x) A
-    to a matrix V, by solves and eigendecompositions of the raw factors.
+def kron_precondition(a, s, v, lam):
+    """Reference: apply the inverse of the factored-damped Kronecker product
+    (S + sqrt(lam) I) (x) (A + sqrt(lam) I) to a matrix V by two linear solves.
 
     `a` is n1 x n1, `s` is n2 x n2, `v` is n1 x n2 (the transpose of the
-    weight layout).  With factored damping the result is
-    (A + sqrt(lam) I)^-1 V (S + sqrt(lam) I)^-1, the exact inverse of
-    (S + sqrt(lam) I) (x) (A + sqrt(lam) I) applied to vec(V) (column-major).
-    With dense damping the operator is (S (x) A + lam I)^-1, applied through
-    the two factors' eigenbases.
+    weight layout).  The result is (A + sqrt(lam) I)^-1 V (S + sqrt(lam) I)^-1,
+    that inverse applied to vec(V) (column-major).
     """
     if lam <= 0.0:
         raise DomainError(f"damping must be positive, got {lam}")
@@ -99,19 +96,10 @@ def kron_precondition(a, s, v, lam, damping="factored"):
     vm = np.asarray(v, dtype=np.float64)
     if vm.shape != (am.shape[0], sm.shape[0]):
         raise ShapeError(f"V must be {am.shape[0]}x{sm.shape[0]}, got {vm.shape}")
-    if damping == "factored":
-        root = np.sqrt(lam)
-        a_d = am + root * np.eye(am.shape[0])
-        s_d = sm + root * np.eye(sm.shape[0])
-        return np.linalg.solve(a_d, np.linalg.solve(s_d, vm.T).T)
-    if damping == "dense":
-        wa, qa = np.linalg.eigh(am)
-        ws, qs = np.linalg.eigh(sm)
-        # in the factors' joint eigenbasis S (x) A + lam I is diagonal with
-        # entries mu_A[i] * mu_S[j] + lam
-        core = qa.T @ vm @ qs
-        return qa @ (core / (np.outer(wa, ws) + lam)) @ qs.T
-    raise DomainError(f"unknown damping mode {damping!r}")
+    root = np.sqrt(lam)
+    a_d = am + root * np.eye(am.shape[0])
+    s_d = sm + root * np.eye(sm.shape[0])
+    return np.linalg.solve(a_d, np.linalg.solve(s_d, vm.T).T)
 
 
 # --- reference optimizer updates --------------------------------------------
@@ -225,8 +213,8 @@ def ref_kfac_step(state, spec, params, batch, coupling):
         fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
-        curvature.invert_factors(state.factors, state.lam, state.damping_mode)
-    _, dl = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+        curvature.invert_factors(state.factors, state.lam)
+    _, dl = loss.loss_and_grad(logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dl)
     mask = coupling.layer_mask(spec.n_layers)
     eta, beta = state.eta, coupling.beta

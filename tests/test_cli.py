@@ -104,6 +104,19 @@ def test_grid_command_picks_and_retrains(tmp_path, capsys):
     assert "best: eta=0.1 beta=0" in out
 
 
+@pytest.mark.parametrize("etas, betas, coupling, message", [
+    ("0.1,-1", "0", "none", "eta must be positive"),
+    ("0.1", "0,-0.5", "weight_decay", "beta must be nonnegative"),
+])
+def test_grid_refuses_a_bad_axis_value_before_any_cell_trains(tmp_path, capsys, etas, betas,
+                                                              coupling, message):
+    ini = write_ini(tmp_path, tiny_config(tmp_path / "grid", epochs=1, coupling=coupling))
+    code = cli.main(["grid", "--config", str(ini), "--etas", etas, "--betas", betas])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "grid" / "cells").exists()
+
+
 def test_diag_reproduces_the_grid_retrain(tmp_path, capsys):
     # the retrain trains on train+val, and its config.ini must say so for
     # diag (or a plain train run of that config) to give back its metrics
@@ -215,6 +228,29 @@ def test_diag_matches_recorded_metrics(tmp_path, capsys, net):
     # the probe and trace rows are the ones train measured (no test split here)
     assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
     assert payload["gn_traces"]["0"] == pytest.approx(final.gn_traces[0], rel=1e-12)
+
+
+def test_diag_reads_a_config_with_the_retired_damping_key(tmp_path, capsys):
+    # run directories written before dense damping was removed say
+    # `damping = factored`, the damping K-FAC still runs
+    cfg = tiny_config(tmp_path / "run", optimizer="kfac_gn", lam=0.01)
+    assert cli.main(["train", "--config", str(write_ini(tmp_path, cfg))]) == 0
+    cfg_path = tmp_path / "run" / "config.ini"
+    text = cfg_path.read_text()
+    assert "damping" not in text
+    old = text.replace("factor_decay = 0.95\n", "factor_decay = 0.95\ndamping = factored\n")
+    assert old != text
+    cfg_path.write_text(old)
+    capsys.readouterr()
+    assert cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    final = diagnostics.load_metrics(tmp_path / "run" / "metrics.csv")[-1]
+    assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
+    assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
+    assert payload["kfac_gn_norm"] == pytest.approx(final.kfac_gn_norm, rel=1e-12)
+    cfg_path.write_text(old.replace("damping = factored", "damping = dense"))
+    assert cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")]) == 2
+    assert "dense damping was removed" in capsys.readouterr().err
 
 
 def test_diag_flags_a_bn_checkpoint_without_statistics(tmp_path, capsys):

@@ -43,8 +43,8 @@ def test_validation_rejects_bad_fields():
         config.ExperimentConfig(dataset="mnist")  # no paths
     with pytest.raises(DomainError):
         config.ExperimentConfig(trace_layers=(7,))
-    with pytest.raises(DomainError):
-        config.ExperimentConfig(damping="isotropic")
+    with pytest.raises(DomainError, match="beta"):
+        config.ExperimentConfig(beta=-0.5)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -148,6 +148,78 @@ def test_readme_ini_block_loads_as_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
     assert config.parse_config_text(block) == config.ExperimentConfig()
+    # every section and key of the file format exactly once, and nothing else
+    named, section = [], None
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+            named.append((section, None))
+        elif m := re.match(r"(\w+)\s*=", line):
+            named.append((section, m.group(1)))
+    layout = [(sec, None) for sec in config._LAYOUT]
+    layout += [(sec, key) for sec, rows in config._LAYOUT.items() for key, _, _ in rows]
+    assert sorted(named, key=str) == sorted(layout, key=str)
+
+
+# config.ini as written before dense damping was removed
+OLD_KFAC_INI = """\
+[data]
+dataset = synthetic
+images = 
+labels = 
+train = 300
+val = 60
+test = 100
+whiten = no
+
+[model]
+dims = 6 8 3
+activation = relu
+batchnorm = yes
+bias = no
+
+[optimizer]
+kind = kfac_fisher
+eta = 0.1
+momentum = 0.0
+lam = 0.01
+stats_every = 10
+invert_every = 100
+factor_decay = 0.95
+damping = factored
+
+[coupling]
+mode = weight_decay
+beta = 0.001
+mask = all
+
+[run]
+epochs = 2
+batch = 32
+seed = 0
+schedule = 12 24
+out = runs/run0
+
+[diagnostics]
+probe = 20
+trace_layers = 0
+trace = 16
+
+"""
+
+
+def test_ini_written_with_the_retired_damping_key_still_loads():
+    cfg = config.parse_config_text(OLD_KFAC_INI)
+    assert cfg == config.ExperimentConfig(
+        optimizer="kfac_fisher", lam=0.01, layer_dims=(6, 8, 3), batchnorm=True,
+        coupling="weight_decay", beta=0.001, n_train=300, n_val=60, n_test=100, epochs=2,
+        batch_size=32, trace_layers=(0,), trace_size=16, probe_size=20,
+    )
+    assert "damping" not in config.to_ini(cfg)
+    with pytest.raises(DataFormatError, match="dense damping was removed"):
+        config.parse_config_text(OLD_KFAC_INI.replace("damping = factored", "damping = dense"))
+    with pytest.raises(DataFormatError, match="unknown config key"):
+        config.apply_overrides(cfg, ["optimizer.damping=factored"])
 
 
 def test_ini_round_trip():

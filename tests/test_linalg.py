@@ -68,39 +68,25 @@ def test_sym_eig_reconstruction_property(seed, n):
 # --- kron_precondition ------------------------------------------------------
 
 
-def dense_kron_solve(a, s, v, lam, factored):
-    """Oracle: materialize S (x) A (column-major vec convention) and solve."""
+def dense_kron_solve(a, s, v, lam):
+    """Oracle: materialize (S + sqrt(lam) I) (x) (A + sqrt(lam) I)
+    (column-major vec convention) and solve."""
     n1, n2 = v.shape
-    if factored:
-        root = np.sqrt(lam)
-        op = np.kron(s + root * np.eye(n2), a + root * np.eye(n1))
-    else:
-        op = np.kron(s, a) + lam * np.eye(n1 * n2)
+    root = np.sqrt(lam)
+    op = np.kron(s + root * np.eye(n2), a + root * np.eye(n1))
     x = np.linalg.solve(op, v.ravel(order="F"))
     return x.reshape(n1, n2, order="F")
 
 
-@pytest.mark.parametrize("damping", ["factored", "dense"])
-def test_kron_precondition_matches_dense_kron_solve(damping):
+def test_kron_precondition_matches_dense_kron_solve():
     rng = np.random.default_rng(3)
     a = random_psd(rng, 4)
     s = random_psd(rng, 3)
     v = rng.normal(size=(4, 3))
     lam = 1e-3
-    got = kron_precondition(a, s, v, lam, damping=damping)
-    expected = dense_kron_solve(a, s, v, lam, factored=(damping == "factored"))
+    got = kron_precondition(a, s, v, lam)
+    expected = dense_kron_solve(a, s, v, lam)
     assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
-
-
-def test_kron_precondition_dense_inverts_forward_operator():
-    rng = np.random.default_rng(4)
-    a = random_psd(rng, 5)
-    s = random_psd(rng, 4)
-    v = rng.normal(size=(5, 4))
-    lam = 0.05
-    x = kron_precondition(a, s, v, lam, damping="dense")
-    # forward: (S (x) A + lam I) vec(X) = vec(A X S) + lam vec(X)
-    assert_allclose(a @ x @ s + lam * x, v, rtol=1e-8, atol=1e-12)
 
 
 def test_kron_precondition_factored_closed_form():
@@ -113,7 +99,7 @@ def test_kron_precondition_factored_closed_form():
     expected = (
         np.linalg.inv(a + root * np.eye(4)) @ v @ np.linalg.inv(s + root * np.eye(3))
     )
-    got = kron_precondition(a, s, v, lam, damping="factored")
+    got = kron_precondition(a, s, v, lam)
     assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
 
@@ -125,8 +111,6 @@ def test_kron_precondition_rejects_bad_shapes_and_modes():
         kron_precondition(a, s, np.zeros((2, 3)), 1e-3)
     with pytest.raises(DomainError):
         kron_precondition(a, s, v, 0.0)
-    with pytest.raises(DomainError):
-        kron_precondition(a, s, v, 1e-3, damping="nope")
     with pytest.raises(ShapeError):
         kron_precondition([[1.0, 2.0], [0.0, 1.0]], s[:2, :2].copy(), v[:2], 1e-3)
 
@@ -136,15 +120,14 @@ def test_kron_precondition_rejects_bad_shapes_and_modes():
     seed=st.integers(0, 2**32 - 1),
     n1=st.integers(1, 5),
     n2=st.integers(1, 5),
-    damping=st.sampled_from(["factored", "dense"]),
 )
-def test_kron_precondition_property(seed, n1, n2, damping):
+def test_kron_precondition_property(seed, n1, n2):
     rng = np.random.default_rng(seed)
     a = random_psd(rng, n1)
     s = random_psd(rng, n2)
     v = rng.normal(size=(n1, n2))
     lam = 10.0 ** rng.uniform(-4, 0)
-    got = kron_precondition(a, s, v, lam, damping=damping)
-    expected = dense_kron_solve(a, s, v, lam, factored=(damping == "factored"))
+    got = kron_precondition(a, s, v, lam)
+    expected = dense_kron_solve(a, s, v, lam)
     assert_allclose(got, expected, rtol=1e-7, atol=1e-10)
 

@@ -41,10 +41,10 @@ def test_softmax_is_shift_invariant_and_overflow_safe():
 
 def test_cross_entropy_analytic_values():
     # uniform two-class logits: loss = ln 2
-    value, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, [[0.0, 0.0]], np.array([0]))
+    value, _ = loss.loss_and_grad([[0.0, 0.0]], np.array([0]))
     assert_allclose(value, np.log(2.0), rtol=1e-15)
     # single row [1,2,3], label 2: loss = log(e + e^2 + e^3) - 3
-    value, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, [[1.0, 2.0, 3.0]], np.array([2]))
+    value, _ = loss.loss_and_grad([[1.0, 2.0, 3.0]], np.array([2]))
     assert_allclose(value, np.log(np.exp(1) + np.exp(2) + np.exp(3)) - 3.0, rtol=1e-14)
 
 
@@ -55,9 +55,9 @@ def test_cross_entropy_gradient_matches_finite_differences():
     y = rng.integers(0, k, size=n)
 
     def f(flat):
-        return loss.loss_and_grad(loss.CROSS_ENTROPY, flat.reshape(n, k), y)[0]
+        return loss.loss_and_grad(flat.reshape(n, k), y)[0]
 
-    _, grad = loss.loss_and_grad(loss.CROSS_ENTROPY, z, y)
+    _, grad = loss.loss_and_grad(z, y)
     fd = central_diff_grad(f, z.ravel()).reshape(n, k)
     assert_allclose(grad, fd, atol=1e-9)
 
@@ -66,14 +66,14 @@ def test_cross_entropy_gradient_closed_form():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(3, 5))
     y = np.array([4, 0, 2])
-    _, grad = loss.loss_and_grad(loss.CROSS_ENTROPY, z, y)
+    _, grad = loss.loss_and_grad(z, y)
     onehot = np.eye(5)[y]
     assert_allclose(grad, (loss.softmax(z) - onehot) / 3.0, rtol=1e-12)
 
 
 def test_cross_entropy_extreme_logits_stay_finite():
     z = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
-    value, grad = loss.loss_and_grad(loss.CROSS_ENTROPY, z, np.array([1, 1]))
+    value, grad = loss.loss_and_grad(z, np.array([1, 1]))
     assert np.isfinite(value) and value > 900
     assert np.all(np.isfinite(grad))
 
@@ -81,35 +81,11 @@ def test_cross_entropy_extreme_logits_stay_finite():
 def test_cross_entropy_rejects_bad_labels():
     z = np.zeros((2, 3))
     with pytest.raises(DomainError):
-        loss.loss_and_grad(loss.CROSS_ENTROPY, z, np.array([0.5, 1.5]))
+        loss.loss_and_grad(z, np.array([0.5, 1.5]))
     with pytest.raises(DomainError):
-        loss.loss_and_grad(loss.CROSS_ENTROPY, z, np.array([0, 3]))
+        loss.loss_and_grad(z, np.array([0, 3]))
     with pytest.raises(ShapeError):
-        loss.loss_and_grad(loss.CROSS_ENTROPY, z, np.array([0]))
-
-
-# --- squared error ----------------------------------------------------------
-
-
-def test_squared_error_value_and_gradient():
-    z = np.array([[1.0, 2.0], [3.0, 4.0]])
-    t = np.array([[0.0, 2.0], [3.0, 2.0]])
-    value, grad = loss.loss_and_grad(loss.SQUARED_ERROR, z, t)
-    # 0.5 * (1 + 0 + 0 + 4) / 2
-    assert_allclose(value, 1.25, rtol=1e-15)
-    assert_allclose(grad, (z - t) / 2.0, rtol=1e-15)
-
-
-def test_squared_error_gradient_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(4, 3))
-    t = rng.normal(size=(4, 3))
-
-    def f(flat):
-        return loss.loss_and_grad(loss.SQUARED_ERROR, flat.reshape(4, 3), t)[0]
-
-    _, grad = loss.loss_and_grad(loss.SQUARED_ERROR, z, t)
-    assert_allclose(grad, central_diff_grad(f, z.ravel()).reshape(4, 3), atol=1e-9)
+        loss.loss_and_grad(z, np.array([0]))
 
 
 # --- output Hessian ---------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The defining behaviors under test: momentum-free SGD cannot distinguish the
 two couplings (bit-for-bit over long runs); Adam and K-FAC must distinguish
-them; K-FAC with fresh factors on a linear net is the dense damped block
-natural gradient; the reference normalized-direction formulas predict actual
+them; K-FAC with fresh factors on a linear net takes the factored-damped
+dense block natural-gradient step; the reference normalized-direction formulas predict actual
 steps on BN networks up to a residual that shrinks quadratically in eta.
 """
 
@@ -178,7 +178,7 @@ def rigged_kfac_state(spec, a, s, lam, eta, **kw):
     state = optim.KfacState(metric="gn", eta=eta, lam=lam, **kw)
     state.factors = curvature.KfacFactors.zeros(spec)
     curvature.update_factors_ema(state.factors, [(a, s)], decay=0.0)
-    curvature.invert_factors(state.factors, lam, state.damping_mode)
+    curvature.invert_factors(state.factors, lam)
     state.step = 1  # keep kfac_step from re-estimating on this synthetic setup
     return state
 
@@ -230,10 +230,9 @@ def test_kfac_identity_preconditioner_reduces_to_sgd():
     assert_allclose(new.weights[0], params.weights[0] - 0.05 * ds.T @ a, rtol=1e-4)
 
 
-@pytest.mark.parametrize("damping", ["dense"])
-def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
-    # with exact per-layer factors on a linear net, the preconditioned step
-    # equals the dense damped Gauss-Newton block solve
+def test_kfac_matches_dense_block_natural_gradient_on_linear_net():
+    # on a linear net each Gauss-Newton diagonal block is exactly S (x) A, so
+    # with fresh factors the step solves the factored-damped dense system
     rng = np.random.default_rng(4)
     spec = nn.mlp((4, 3, 2), activation=nn.IDENTITY)
     params = nn.init_params(spec, rng)
@@ -242,18 +241,24 @@ def test_kfac_matches_dense_block_natural_gradient_on_linear_net(damping):
     lam = 1e-3
     state = optim.KfacState(
         metric="gn", eta=1e-4, lam=lam, t_stats=1, t_inv=1, factor_decay=0.0,
-        damping_mode=damping,
     )
     new = helpers.kfac_batch_step(state, spec, params, (x, y), optim.Coupling())
 
     pairs = loss_grad_pairs(spec, params, x, y)
+    _, trace = nn.forward(spec, params, x, mode="eval")
     dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
-    slices = nn.layer_slices(spec)
-    for l, sl in enumerate(slices):
+    root = np.sqrt(lam)
+    for l, sl in enumerate(nn.layer_slices(spec)):
+        out, inp = spec.weight_shape(l)
         block = dense[sl, sl]
+        a_in = trace.layer_inputs[l]
+        a_factor = a_in.T @ a_in / a_in.shape[0]
+        # S is the block's partial trace over the input side, divided by tr(A)
+        s_factor = np.einsum("iaja->ij", block.reshape(out, inp, out, inp)) / np.trace(a_factor)
+        assert_allclose(np.kron(s_factor, a_factor), block, rtol=1e-10, atol=1e-12)
+        damped = np.kron(s_factor + root * np.eye(out), a_factor + root * np.eye(inp))
         ds, a = pairs[l]
-        g = (ds.T @ a).ravel()
-        step = np.linalg.solve(block + lam * np.eye(block.shape[0]), g)
+        step = np.linalg.solve(damped, (ds.T @ a).ravel())
         actual_step = (params.weights[l] - new.weights[l]).ravel() / 1e-4
         assert np.linalg.norm(actual_step - step) <= 1e-6 * np.linalg.norm(step)
 
@@ -346,8 +351,8 @@ def full_route_kfac_step(state, spec, params, batch, coupling):
         fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
     if state.step % state.t_inv == 0:
-        curvature.invert_factors(state.factors, state.lam, state.damping_mode)
-    _, dz = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+        curvature.invert_factors(state.factors, state.lam)
+    _, dz = loss.loss_and_grad(logits, y)
     s_grads, _ = nn.vjp(spec, params, trace, dz)
     mask = coupling.layer_mask(spec.n_layers)
     new = params.copy()
@@ -368,25 +373,24 @@ def full_route_kfac_step(state, spec, params, batch, coupling):
     return new
 
 
-def kfac_pair(metric, damping, bias, bn=False):
+def kfac_pair(metric, bias, bn=False):
     """Two identical K-FAC states with a 3-layer net and a batch."""
     spec = nn.mlp((6, 9, 7, 3), bn=bn, bias=bias)
     params = nn.init_params(spec, np.random.default_rng(20))
     x = np.random.default_rng(21).normal(size=(5, 6))
     y = np.random.default_rng(22).integers(0, 3, size=5)
     states = [optim.KfacState(metric=metric, eta=0.05, lam=1e-2, t_stats=1, t_inv=2,
-                              damping_mode=damping, rng=np.random.default_rng(23))
+                              rng=np.random.default_rng(23))
               for _ in range(2)]
     return spec, params, (x, y), states
 
 
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("damping", ["factored", "dense"])
 @pytest.mark.parametrize("metric", ["fisher", "gn"])
-def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, damping, bias):
+def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, bias):
     # beta*W is full rank, so l2 layers keep the formed gradient and its
     # exact arithmetic, across steps with and without an inversion
-    spec, params, batch, (state, ref_state) = kfac_pair(metric, damping, bias)
+    spec, params, batch, (state, ref_state) = kfac_pair(metric, bias)
     coupling = optim.Coupling("l2", beta=0.1)
     ref = params
     for _ in range(3):
@@ -399,11 +403,10 @@ def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, damping, 
 
 
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("damping", ["factored", "dense"])
-def test_kfac_masked_l2_routes_each_layer(damping, bias, monkeypatch):
+def test_kfac_masked_l2_routes_each_layer(bias, monkeypatch):
     # l2 layers take the formed gradient (bit-identical to the full route),
     # the others its rank-n factors (equal up to rounding)
-    spec, params, batch, (state, ref_state) = kfac_pair("gn", damping, bias, bn=True)
+    spec, params, batch, (state, ref_state) = kfac_pair("gn", bias, bn=True)
     coupling = optim.Coupling("l2", beta=0.1, mask=(True, False, False))
     routes = []
     apply = curvature.apply_preconditioner
@@ -425,7 +428,7 @@ def test_kfac_masked_l2_routes_each_layer(damping, bias, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["sgd", "adam", "kfac"])
 def test_bias_free_layers_are_never_hstacked(kind, monkeypatch):
-    spec, params, batch, (state, _) = kfac_pair("gn", "factored", bias=False)
+    spec, params, batch, (state, _) = kfac_pair("gn", bias=False)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a bias-free layer was hstacked")
@@ -443,8 +446,7 @@ def test_bias_free_layers_are_never_hstacked(kind, monkeypatch):
             optim.adam_step(optim.AdamState(eta=0.1), params, pairs, coupling)
 
 
-BIAS_NET_OPTIMIZERS = ["sgd", "sgd_momentum", "adam", "kfac_gn_factored", "kfac_gn_dense",
-                       "kfac_fisher_factored", "kfac_fisher_dense"]
+BIAS_NET_OPTIMIZERS = ["sgd", "sgd_momentum", "adam", "kfac_gn_factored", "kfac_fisher_factored"]
 
 
 @pytest.mark.parametrize("mode", optim.COUPLING_MODES)
@@ -459,9 +461,9 @@ def test_bias_net_updates_match_the_separate_weight_bias_formulas(kind, mode):
         b[:] = 0.1 * rng.normal(size=b.shape)
     coupling = optim.Coupling(mode, beta=0.05, mask=(True, False, True))
     if kind.startswith("kfac"):
-        _, metric, damping = kind.split("_")
+        metric = kind.split("_")[1]
         state, ref_state = (optim.KfacState(metric=metric, eta=0.05, lam=1e-2, t_stats=2, t_inv=4,
-                                            damping_mode=damping, rng=np.random.default_rng(31))
+                                            rng=np.random.default_rng(31))
                             for _ in range(2))
     elif kind == "adam":
         state, ref_state = optim.AdamState(eta=0.01), helpers.ref_adam_state(0.01)
@@ -487,7 +489,7 @@ def test_bias_net_updates_match_the_separate_weight_bias_formulas(kind, mode):
 
 
 def test_kfac_health_rows_at_each_inversion():
-    spec, params, batch, (state, _) = kfac_pair("gn", "factored", bias=True)
+    spec, params, batch, (state, _) = kfac_pair("gn", bias=True)
     state.t_inv = 3
     for _ in range(4):
         params = helpers.kfac_batch_step(state, spec, params, batch, optim.Coupling())

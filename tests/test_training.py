@@ -210,7 +210,7 @@ def test_kfac_minibatch_pass_returns_pre_step_batch_loss(tmp_path, kind):
     x = np.random.default_rng(1).normal(size=(20, 6))
     y = np.random.default_rng(2).integers(0, 3, size=20)
     logits, _ = nn.forward(spec, params, x, mode="train")
-    expected, _ = loss.loss_and_grad(loss.CROSS_ENTROPY, logits, y)
+    expected, _ = loss.loss_and_grad(logits, y)
     bn_state = nn.BnState.fresh(spec)
     new, value = training._minibatch_pass(
         spec, params, bn_state, training.make_optimizer(cfg), cfg.coupling_obj(), x, y
