@@ -104,7 +104,7 @@ def _cmd_replicate(args) -> int:
             state = "pass" if summary[key]["passed"] else "FAIL"
             print(f"{key} ({summary[key]['mechanism']}): {state}")
     else:
-        summary = runners[args.only](out, make_plots=not args.no_plots)
+        summary = runners[args.only](out / args.only, make_plots=not args.no_plots)
         passed = summary["passed"]
         print(f"{args.only} ({summary['mechanism']}): "
               f"{'pass' if passed else 'FAIL'}")

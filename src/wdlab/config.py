@@ -15,8 +15,8 @@ import dataclasses
 import io
 from dataclasses import dataclass
 
-from . import nn, optim
-from .errors import DataFormatError, DomainError, InstabilityError
+from . import curvature, nn, optim
+from .errors import CapacityError, DataFormatError, DomainError, InstabilityError
 
 OPTIMIZERS = ("sgd", "adam", "kfac_fisher", "kfac_gn")
 DATASETS = ("synthetic", "mnist")
@@ -76,9 +76,10 @@ class ExperimentConfig:
                 f"split sizes must be positive train / nonnegative val, test; got "
                 f"{self.n_train}/{self.n_val}/{self.n_test}"
             )
-        if not 1 <= self.batch_size <= self.n_train:
+        least = 2 if self.batchnorm else 1  # train-mode BN needs two rows
+        if not least <= self.batch_size <= self.n_train:
             raise DomainError(
-                f"batch size must lie in [1, {self.n_train}], got {self.batch_size}"
+                f"batch size must lie in [{least}, {self.n_train}], got {self.batch_size}"
             )
         if self.epochs < 0:
             raise DomainError(f"epochs must be nonnegative, got {self.epochs}")
@@ -104,7 +105,8 @@ class ExperimentConfig:
         for l in self.trace_layers:
             if not 0 <= l < len(self.layer_dims) - 1:
                 raise DomainError(f"trace layer {l} out of range for this network")
-        least = 2 if self.batchnorm else 1  # train-mode BN needs two rows
+        if self.trace_layers and self.layer_dims[-1] > curvature.CLASS_CAP:
+            raise CapacityError(f"traces sum over {self.layer_dims[-1]} classes, cap is {curvature.CLASS_CAP}")
         if self.trace_layers and not least <= self.trace_size <= self.n_train:
             raise DomainError(f"trace size must lie in [{least}, {self.n_train}], got {self.trace_size}")
 

@@ -7,9 +7,9 @@ Kronecker side estimates per-layer factors A_l = E[a a^T] and
 S_l = E[g g^T] whose product S_l (x) A_l approximates the layer-diagonal
 curvature block, exactly so for linear networks.
 
-Metric norms ||theta||^2_G and their block-diagonal counterparts are computed
-through per-layer quadratic forms rather than dense matrices, which keeps
-them cheap enough to log every epoch.
+The metric norm ||theta||^2_G of a bias-free net comes from its positive
+homogeneity, without a dense matrix; the block-diagonal counterpart shares
+the Jacobian norm's backward in `diagnostics.probe_norms`.
 
 All expectations are over the supplied batch.  Per-output and per-example
 backward passes run as a few stacked `nn.vjp` calls over seed stacks,
@@ -292,29 +292,6 @@ def gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float:
     logits, _ = nn.forward(spec, params, x, mode="eval")
     depth_plus_1 = spec.n_layers
     return float(depth_plus_1**2 * np.mean(np.sum(logits * logits, axis=1)))
-
-
-def kfac_gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x,
-                 bn_state: nn.BnState | None = None) -> float:
-    """sum_l theta_l^T G_ll theta_l via exact per-layer quadratic forms.
-
-    Each layer's quadratic form reduces to <dL/ds_l, s_l>^2 because s_l is
-    linear in that layer's own parameters; one stacked backward of the k
-    output seeds covers the outputs (eval-mode BN with `bn_state`'s running
-    statistics, so examples stay uncoupled).
-    """
-    xm = np.asarray(x, dtype=np.float64)
-    logits, trace = nn.forward(spec, params, xm, mode="eval", bn_state=bn_state)
-    n, k = logits.shape
-    total = 0.0
-    seeds = nn.output_seeds(n, k)
-    for chunk in nn.seed_chunks(k, n):
-        s_grads, _ = nn.vjp(spec, params, trace, seeds[chunk])
-        dots = [np.sum(g * s, axis=-1) for g, s in zip(s_grads, trace.pre_activations)]
-        for j in range(chunk.stop - chunk.start):
-            for d in dots:
-                total += float(np.sum(d[j] * d[j]))
-    return total / n
 
 
 def gn_norm_gradient(

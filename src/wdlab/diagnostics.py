@@ -31,25 +31,35 @@ def effective_lr(eta: float, layer_norm: float) -> float:
     return eta / layer_norm**2
 
 
-def jacobian_frob_norm(
+def probe_norms(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
     x,
     bn_state: nn.BnState | None = None,
-) -> float:
-    """Mean over examples of the squared Frobenius norm of d logits / d input
-    (eval-mode BN), from stacked output seeds over blocks of rows."""
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim == 1:
-        xm = xm[None, :]
-    if xm.shape[0] == 0:
-        raise DegenerateError("need at least one evaluation example")
-    total = 0.0
-    for rows in nn.seed_chunks(xm.shape[0], spec.output_dim):
-        _, trace = nn.forward(spec, params, xm[rows], mode="eval", bn_state=bn_state)
-        jac = nn.input_jacobian(spec, params, trace)
-        total += float(np.sum(jac * jac))
-    return total / xm.shape[0]
+) -> tuple[float, float]:
+    """(Jacobian norm, block GN norm) over the rows of x: the mean squared
+    Frobenius norm of d logits / d input, and sum_l theta_l^T G_ll theta_l.
+
+    One eval-mode forward (BN with `bn_state`'s running statistics, so the
+    examples stay uncoupled) and one stacked backward of the k output seeds
+    give both: the input gradients square to the Jacobian norm, and each
+    layer's quadratic form reduces to <dL/ds_l, s_l>^2 because s_l is linear
+    in that layer's own parameters.
+    """
+    logits, trace = nn.forward(spec, params, x, mode="eval", bn_state=bn_state)
+    n, k = logits.shape
+    if n == 0:
+        raise DegenerateError("need at least one probe example")
+    jac = block = 0.0
+    seeds = nn.output_seeds(n, k)
+    for chunk in nn.seed_chunks(k, n):
+        s_grads, x_grads = nn.vjp(spec, params, trace, seeds[chunk], inputs=True)
+        jac += float(np.sum(x_grads * x_grads))
+        dots = [np.sum(g * s, axis=-1) for g, s in zip(s_grads, trace.pre_activations)]
+        for j in range(chunk.stop - chunk.start):
+            for d in dots:
+                block += float(np.sum(d[j] * d[j]))
+    return jac / n, block / n
 
 
 def norm_transfer(
@@ -157,12 +167,9 @@ def record_metrics(
     norms = tuple(float(v) for v in nn.layer_norms(params))
     eff = tuple(effective_lr(eta, v) for v in norms)
 
-    jac = float("nan")
-    gnn = float("nan")
-    kfac_gnn = float("nan")
+    jac = gnn = kfac_gnn = float("nan")
     if probe_x is not None:
-        jac = jacobian_frob_norm(spec, params, probe_x, bn_state=bn_state)
-        kfac_gnn = curvature.kfac_gn_norm(spec, params, probe_x, bn_state=bn_state)
+        jac, kfac_gnn = probe_norms(spec, params, probe_x, bn_state=bn_state)
         if not (spec.use_bias or spec.has_bn):
             gnn = curvature.gn_norm(spec, params, probe_x)
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import plots, training
+from . import diagnostics, plots, training
 from .config import ExperimentConfig
 
 # Epoch from which the decayed run's hidden-layer norms are expected to sit
@@ -220,9 +220,7 @@ def mechanism2(out_dir, seeds=M2_SEEDS, make_plots=True):
 
     # Correlation scan: small whitened problems, every net trained until it
     # fits the training set exactly, then one (kfac GN norm, Jacobian norm)
-    # point per net, both evaluated on the training inputs.
-    from . import curvature, diagnostics  # local import to keep startup light
-
+    # point per net from one probe pass over the training inputs.
     points = []
     all_fit = True
     for width, beta, seed in M2_CORR_CELLS:
@@ -237,8 +235,7 @@ def mechanism2(out_dir, seeds=M2_SEEDS, make_plots=True):
         dataset = training.build_dataset(cfg)
         run = training.train(cfg, dataset=dataset)
         x_train = dataset.x[dataset.train_idx]
-        gn = float(curvature.kfac_gn_norm(run.spec, run.params, x_train))
-        jac = float(diagnostics.jacobian_frob_norm(run.spec, run.params, x_train))
+        jac, gn = diagnostics.probe_norms(run.spec, run.params, x_train)
         fit = float(run.final.train_acc)
         all_fit = all_fit and fit == 1.0
         points.append({"width": width, "beta": beta, "seed": seed,

@@ -189,7 +189,8 @@ def train(
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     health_path = os.path.join(cfg.out_dir, "kfac_health.csv")
-    for stale in (metrics_path, health_path):
+    checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.bin")
+    for stale in (metrics_path, health_path, checkpoint_path):
         if os.path.exists(stale):
             os.remove(stale)
     log = diagnostics.MetricLog(metrics_path)
@@ -243,7 +244,6 @@ def train(
         if isinstance(opt_state, optim.KfacState):
             diagnostics.write_kfac_health(health_path, opt_state.health)
 
-    checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.bin")
     nn.save_checkpoint(checkpoint_path, spec, params, bn_state, cfg.seed, cfg.epochs)
     return RunResult(
         config=cfg,

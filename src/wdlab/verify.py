@@ -131,14 +131,12 @@ def check_gn_norm_identities(trials: int = 100, seed: int = 0) -> CheckReport:
             float(theta[sl] @ dense[sl, sl] @ theta[sl])
             for sl in nn.layer_slices(spec)
         )
-        worst = max(worst, _rel(curvature.kfac_gn_norm(spec, params, x), block_quad))
+        _, block = diagnostics.probe_norms(spec, params, x)
+        worst = max(worst, _rel(block, block_quad))
         if spec.activation == "identity":
             logits, _ = nn.forward(spec, params, x, mode="eval")
             mean_sq = float(np.mean(np.sum(logits**2, axis=1)))
-            worst = max(
-                worst,
-                _rel(curvature.kfac_gn_norm(spec, params, x), spec.n_layers * mean_sq),
-            )
+            worst = max(worst, _rel(block, spec.n_layers * mean_sq))
     return _report("gn_norm_identities", trials, worst, 1e-8, seed)
 
 
@@ -154,18 +152,14 @@ def check_whitened_jacobian(trials: int = 100, seed: int = 0) -> CheckReport:
         params = nn.init_params(spec, rng)
         d = spec.input_dim
         x = data.whiten(rng.normal(size=(3 * d + 5, d)))
-        block = curvature.kfac_gn_norm(spec, params, x)
-        jac = diagnostics.jacobian_frob_norm(spec, params, x)
+        jac, block = diagnostics.probe_norms(spec, params, x)
         worst = max(worst, _rel(block, spec.n_layers * jac))
     # negative control: anisotropic inputs must violate the identity
     spec = nn.mlp([3, 4, 2], activation="identity", bias=False)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(30, 3)) * np.array([1.0, 4.0, 0.25])
-    control = _rel(
-        curvature.kfac_gn_norm(spec, params, x),
-        spec.n_layers * diagnostics.jacobian_frob_norm(spec, params, x),
-    )
-    if control <= 1e-3:
+    jac, block = diagnostics.probe_norms(spec, params, x)
+    if _rel(block, spec.n_layers * jac) <= 1e-3:
         worst = float("inf")
     return _report("whitened_jacobian_norm", trials, worst, 1e-8, seed)
 

@@ -82,6 +82,8 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("diagnostics.trace=-2", "negative probe or trace size"),
     ("optimizer.factor_decay=1.5", "factor decay"),
     ("coupling.beta=20", "eta * beta"),
+    ("run.batch=1", "batch size"),
+    ("model.dims=6,8,20", "20 classes"),
 ])
 def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, override, message):
     out_dir = tmp_path / "run"
@@ -177,8 +179,24 @@ def test_replicate_only_invokes_one_mechanism(tmp_path, monkeypatch, capsys):
     code = cli.main(["replicate", "--only", "m2", "--out", str(tmp_path / "rep"),
                      "--no-plots"])
     assert code == 0
-    assert calls == [(str(tmp_path / "rep"), False)]
+    assert calls == [(str(tmp_path / "rep" / "m2"), False)]
     assert "pass" in capsys.readouterr().out
+
+
+def test_replicate_only_keeps_each_bundle_in_its_own_directory(tmp_path, monkeypatch):
+    # as in the full run, m2 and then m3 into one --out leave both summaries
+    def stub(key):
+        return lambda out_dir, make_plots=True: cli.replicate._write_summary(
+            out_dir, {"mechanism": key, "passed": True})
+
+    monkeypatch.setattr(cli.replicate, "mechanism2", stub("m2"))
+    monkeypatch.setattr(cli.replicate, "mechanism3", stub("m3"))
+    for key in ("m2", "m3"):
+        assert cli.main(["replicate", "--only", key, "--out", str(tmp_path / "rep")]) == 0
+    for key in ("m2", "m3"):
+        summary = json.loads((tmp_path / "rep" / key / "summary.json").read_text())
+        assert summary["mechanism"] == key
+    assert not (tmp_path / "rep" / "summary.json").exists()
 
 
 def test_replicate_failure_sets_exit_status(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from wdlab import config, optim
-from wdlab.errors import DataFormatError, DomainError, InstabilityError
+from wdlab.errors import CapacityError, DataFormatError, DomainError, InstabilityError
 
 
 def test_defaults_are_desk_scale():
@@ -62,10 +62,18 @@ def test_validation_rejects_bad_fields():
     (dict(probe_size=-5), "negative probe or trace size"),
     (dict(trace_size=-1), "negative probe or trace size"),
     (dict(trace_layers=(0,), trace_size=-3), "negative probe or trace size"),
+    # train-mode BN skips one-row minibatches, so such a run would never step
+    (dict(batchnorm=True, batch_size=1), "batch size"),
 ])
 def test_validation_rejects_inconsistent_run_settings(fields, message):
     with pytest.raises(DomainError, match=message):
         config.ExperimentConfig(**fields)
+
+
+def test_validation_refuses_traces_over_more_classes_than_the_cap():
+    # the normalized Fisher trace sums over classes, capped at CLASS_CAP
+    with pytest.raises(CapacityError, match="20 classes, cap is 16"):
+        config.ExperimentConfig(layer_dims=(784, 256, 20), trace_layers=(0,))
 
 
 @pytest.mark.parametrize("mode", ["l2", "weight_decay"])
@@ -79,6 +87,9 @@ def test_validation_accepts_the_boundary_cases():
     config.ExperimentConfig(n_test=100, probe_size=100)
     config.ExperimentConfig(n_train=150, n_test=0, batch_size=50, probe_size=150)
     config.ExperimentConfig(batchnorm=True, trace_layers=(0,), trace_size=2)
+    config.ExperimentConfig(batchnorm=True, batch_size=2)
+    config.ExperimentConfig(layer_dims=(784, 256, 16), trace_layers=(0,))
+    config.ExperimentConfig(layer_dims=(784, 256, 20))  # no traces, no class cap
     config.ExperimentConfig(trace_layers=(0,), trace_size=1)
     config.ExperimentConfig(optimizer="kfac_gn", factor_decay=0.0)
     config.ExperimentConfig(eta=0.1, coupling="l2", beta=9.99)

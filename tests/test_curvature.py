@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import central_diff_grad, central_diff_jacobian, kron_precondition
-from wdlab import curvature, loss, nn
+from wdlab import curvature, diagnostics, loss, nn
 from wdlab.errors import (
     CapacityError,
     ContractError,
@@ -389,13 +389,13 @@ def test_kfac_gn_norm_linear_identity_and_single_layer():
     x = rng.normal(size=(15, 4))
     logits, _ = nn.forward(spec, params, x, mode="eval")
     expected = spec.n_layers * float(np.mean(np.sum(logits**2, axis=1)))
-    got = curvature.kfac_gn_norm(spec, params, x)
+    got = diagnostics.probe_norms(spec, params, x)[1]
     assert abs(got - expected) <= 1e-8 * abs(expected)
 
     single = nn.mlp((4, 2), activation=nn.IDENTITY)
     sp = nn.init_params(single, rng)
     assert_allclose(
-        curvature.kfac_gn_norm(single, sp, x),
+        diagnostics.probe_norms(single, sp, x)[1],
         curvature.gn_norm(single, sp, x),
         rtol=1e-12,
     )
@@ -411,7 +411,7 @@ def test_kfac_gn_norm_equals_sum_of_dense_block_forms():
     expected = 0.0
     for sl in nn.layer_slices(spec):
         expected += float(theta[sl] @ dense[sl, sl] @ theta[sl])
-    got = curvature.kfac_gn_norm(spec, params, x)
+    got = diagnostics.probe_norms(spec, params, x)[1]
     assert abs(got - expected) <= 1e-8 * abs(expected)
 
 
@@ -424,7 +424,7 @@ def test_kfac_gn_norm_whitened_inputs_equal_input_jacobian_norm():
     x = whiten_exact(rng.normal(size=(40, 5)) @ rng.normal(size=(5, 5)))
     jx = params.weights[1] @ params.weights[0]
     expected = spec.n_layers * float(np.sum(jx * jx))
-    got = curvature.kfac_gn_norm(spec, params, x)
+    got = diagnostics.probe_norms(spec, params, x)[1]
     assert abs(got - expected) <= 1e-8 * abs(expected)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import curvature, diagnostics, nn
+from wdlab import diagnostics, nn
 from wdlab.errors import ContractError, DegenerateError, DomainError, ShapeError
 
 from helpers import central_diff_jacobian, random_net
@@ -36,7 +36,7 @@ def test_effective_lr_rejects_zero_norm():
 def test_jacobian_norm_single_linear_layer():
     spec = nn.mlp([1, 1], activation="identity", bias=False)
     params = nn.NetworkParams(weights=[np.array([[2.0]])], biases=[None])
-    got = diagnostics.jacobian_frob_norm(spec, params, np.array([[0.3], [-1.2]]))
+    got = diagnostics.probe_norms(spec, params, np.array([[0.3], [-1.2]]))[0]
     assert got == pytest.approx(4.0)
 
 
@@ -47,7 +47,7 @@ def test_jacobian_norm_deep_linear_is_input_independent():
     want = float(np.sum(product**2))
     for seed in (0, 1):
         x = np.random.default_rng(seed).normal(size=(6, 4))
-        got = diagnostics.jacobian_frob_norm(spec, params, x)
+        got = diagnostics.probe_norms(spec, params, x)[0]
         npt.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_jacobian_norm_matches_finite_differences_on_relu_net():
         return central_diff_jacobian(f, row)
 
     want = np.mean([np.sum(per_example(row) ** 2) for row in x])
-    got = diagnostics.jacobian_frob_norm(spec, params, x)
+    got = diagnostics.probe_norms(spec, params, x)[0]
     npt.assert_allclose(got, want, rtol=1e-4)
 
 
@@ -74,7 +74,7 @@ def test_jacobian_norm_uses_eval_mode_bn():
     x = rng.normal(size=(8, 4))
     state = nn.BnState.fresh(spec)
     nn.forward(spec, params, x, mode="train", bn_state=state)  # populate running stats
-    got = diagnostics.jacobian_frob_norm(spec, params, x, bn_state=state)
+    got = diagnostics.probe_norms(spec, params, x, bn_state=state)[0]
 
     def per_example(row):
         def f(v):
@@ -91,7 +91,7 @@ def test_jacobian_norm_rejects_empty_input():
     spec = nn.mlp([2, 2], activation="identity", bias=False)
     params = nn.init_params(spec, np.random.default_rng(0))
     with pytest.raises(DegenerateError):
-        diagnostics.jacobian_frob_norm(spec, params, np.zeros((0, 2)))
+        diagnostics.probe_norms(spec, params, np.zeros((0, 2)))
 
 
 # --- metric-norm identity across modules ------------------------------------
@@ -107,8 +107,7 @@ def test_jacobian_norm_equals_block_norm_over_depth_on_whitened_linear_net():
     evals, evecs = np.linalg.eigh(cov)
     x = raw @ (evecs / np.sqrt(evals)) @ evecs.T
     depth_plus_one = spec.n_layers
-    jac = diagnostics.jacobian_frob_norm(spec, params, x)
-    block = curvature.kfac_gn_norm(spec, params, x)
+    jac, block = diagnostics.probe_norms(spec, params, x)
     npt.assert_allclose(jac, block / depth_plus_one, rtol=1e-8)
 
 
@@ -270,9 +269,9 @@ def test_bn_record_measures_the_network_it_evaluates():
 
         jac_theta = (logits(1e-6) - logits(-1e-6)) / 2e-6  # J_l theta_l per example
         expected += float(np.sum(jac_theta**2)) / x.shape[0]
-    got = curvature.kfac_gn_norm(spec, params, x, bn_state=bn_state)
+    got = diagnostics.probe_norms(spec, params, x, bn_state=bn_state)[1]
     npt.assert_allclose(got, expected, rtol=1e-6)
-    assert abs(curvature.kfac_gn_norm(spec, params, x) - expected) > 1e-3 * expected
+    assert abs(diagnostics.probe_norms(spec, params, x)[1] - expected) > 1e-3 * expected
     rec = diagnostics.record_metrics(0, spec, params, 0.1, (x, y), (x, y),
                                      bn_state=bn_state, probe_x=x)
     assert rec.kfac_gn_norm == got

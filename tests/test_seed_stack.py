@@ -50,7 +50,7 @@ def rel(got, want):
 # --- per-seed references ----------------------------------------------------
 
 
-def ref_jacobian_frob_norm(spec, params, x, bn_state=None):
+def ref_jacobian_norm(spec, params, x, bn_state=None):
     total = 0.0
     for row in x:
         _, trace = nn.forward(spec, params, row[None, :], mode="eval", bn_state=bn_state)
@@ -185,7 +185,7 @@ def test_example_seeds_place_each_block_on_its_example_row():
 
 def check_probes(net):
     spec, params, x = small_net(4, **net)
-    assert curvature.kfac_gn_norm(spec, params, x) == ref_kfac_gn_norm(spec, params, x)
+    assert diagnostics.probe_norms(spec, params, x)[1] == ref_kfac_gn_norm(spec, params, x)
 
     _, trace = nn.forward(spec, params, x, mode="train")
     got = [s for _, s in curvature.estimate_kfac_factors("gn", spec, params, trace)]
@@ -205,8 +205,8 @@ def check_probes(net):
     if spec.has_bn:
         state = nn.BnState.fresh(spec)
         nn.forward(spec, params, x, mode="train", bn_state=state)
-    got = diagnostics.jacobian_frob_norm(spec, params, x, bn_state=state)
-    assert rel(got, ref_jacobian_frob_norm(spec, params, x, bn_state=state)) <= 1e-12
+    got = diagnostics.probe_norms(spec, params, x, bn_state=state)[0]
+    assert rel(got, ref_jacobian_norm(spec, params, x, bn_state=state)) <= 1e-12
 
     for mode in ("eval", "train"):
         _, trace = nn.forward(spec, params, x, mode=mode)
@@ -232,20 +232,28 @@ def test_probes_match_across_chunk_boundaries(net, monkeypatch):
 
 
 def test_jacobian_norm_makes_one_backward_per_chunk(monkeypatch):
+    # the Jacobian and block GN norms share one forward of all rows and one
+    # backward per chunk of output seeds
     spec, params, x = small_net(5, bn=False, bias=False)
     x = np.random.default_rng(6).normal(size=(50, spec.input_dim))
-    calls = []
-    true_vjp = nn.vjp
+    forwards, calls = [], []
+    true_forward, true_vjp = nn.forward, nn.vjp
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(args[2].shape)
+        return true_forward(*args, **kwargs)
 
     def counting(*args, **kwargs):
         calls.append(args[3].shape)
         return true_vjp(*args, **kwargs)
 
+    monkeypatch.setattr(nn, "forward", counting_forward)
     monkeypatch.setattr(nn, "vjp", counting)
-    monkeypatch.setattr(nn, "SEED_ROWS", 64)  # 16 rows of 4 seeds per chunk
-    diagnostics.jacobian_frob_norm(spec, params, x)
-    assert len(calls) == 4  # 16 + 16 + 16 + 2 rows, not 50 x 4 seeds
-    assert [s[:2] for s in calls] == [(4, 16)] * 3 + [(4, 2)]
+    monkeypatch.setattr(nn, "SEED_ROWS", 150)  # 3 seeds of 50 rows per chunk
+    diagnostics.probe_norms(spec, params, x)
+    assert forwards == [x.shape]
+    assert len(calls) == len(nn.seed_chunks(spec.output_dim, 50)) == 2
+    assert [s[:2] for s in calls] == [(3, 50), (1, 50)]  # not one backward per seed
 
 
 @pytest.mark.parametrize("net", NETS, ids=NET_IDS)

@@ -95,6 +95,18 @@ def test_rerun_in_same_directory_overwrites_metrics(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_rerun_removes_the_stale_checkpoint(tmp_path):
+    # a rerun that diverges writes no checkpoint, so none may be left for
+    # `diag` to score under the rerun's config.ini
+    cfg = tiny_config(tmp_path, activation="identity", probe_size=0)
+    first = training.train(cfg)
+    assert os.path.exists(first.checkpoint_path)
+    with pytest.raises(TrainingDiverged):
+        training.train(dataclasses.replace(cfg, eta=1e30, epochs=4))
+    assert not os.path.exists(first.checkpoint_path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_aborts_with_diagnostic_record(tmp_path):
     # cross-entropy gradients are bounded, so weight exponents only grow by
     # ~log10(eta) per step; a huge eta overflows within a couple of epochs
