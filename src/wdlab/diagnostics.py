@@ -96,10 +96,6 @@ def norm_transfer(
     return out
 
 
-def generalization_gap(train_loss: float, test_loss: float) -> float:
-    return float(test_loss) - float(train_loss)
-
-
 def evaluate(
     spec: nn.NetworkSpec,
     params: nn.NetworkParams,
@@ -158,10 +154,12 @@ def record_metrics(
     log: "MetricLog | None" = None,
 ) -> MetricRecord:
     """Measure one epoch, BN nets with `bn_state`'s running statistics.
-    `probe_x` feeds the Jacobian and metric norms (NaN when absent; gn_norm is
-    NaN for nets with biases or BN); `trace_x`/`trace_layers` select the
-    normalized GN and Fisher traces, both from one pass per layer.  When
-    `log` is given the record is appended."""
+    `probe_x` feeds the Jacobian and metric norms, all from one probe pass
+    (NaN when absent).  gn_norm is (L+1) kfac_gn_norm, since J_l theta_l = f
+    for every layer of a bias-free, BN-free net; it is NaN for nets with
+    biases or BN.  `trace_x`/`trace_layers` select the normalized GN and
+    Fisher traces, both from one pass per layer.  When `log` is given the
+    record is appended."""
     train_loss, train_acc = evaluate(spec, params, *train_eval, bn_state=bn_state)
     test_loss, test_acc = evaluate(spec, params, *test_eval, bn_state=bn_state)
     norms = tuple(float(v) for v in nn.layer_norms(params))
@@ -171,7 +169,7 @@ def record_metrics(
     if probe_x is not None:
         jac, kfac_gnn = probe_norms(spec, params, probe_x, bn_state=bn_state)
         if not (spec.use_bias or spec.has_bn):
-            gnn = curvature.gn_norm(spec, params, probe_x)
+            gnn = spec.n_layers * kfac_gnn
 
     fisher_traces: dict[int, float] = {}
     gn_traces: dict[int, float] = {}
@@ -185,7 +183,7 @@ def record_metrics(
         train_acc=train_acc,
         test_loss=test_loss,
         test_acc=test_acc,
-        gen_gap=generalization_gap(train_loss, test_loss),
+        gen_gap=test_loss - train_loss,
         jacobian_norm=jac,
         gn_norm=gnn,
         kfac_gn_norm=kfac_gnn,
@@ -215,8 +213,20 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _columns(record: MetricRecord) -> list[tuple[str, str]]:
+    """The CSV layout: (column, formatted value) pairs in file order."""
+    cols = [("epoch", str(record.epoch))]
+    cols += [(name, _fmt(getattr(record, name))) for name in _SCALAR_FIELDS]
+    cols += [(f"layer_norm_{l}", _fmt(v)) for l, v in enumerate(record.layer_norms)]
+    cols += [(f"eff_lr_{l}", _fmt(v)) for l, v in enumerate(record.effective_lrs)]
+    for name, traces in (("fisher_trace", record.fisher_traces), ("gn_trace", record.gn_traces)):
+        cols += [(f"{name}_{l}", _fmt(traces[l])) for l in sorted(traces)]
+    return cols
+
+
 class MetricLog:
-    """Append-only CSV metric log, one row per epoch record.
+    """CSV metric log, one row per epoch record; the first append starts the
+    file afresh.
 
     The header is derived from the first record; every later record must
     carry the same layer count and trace layers.
@@ -224,39 +234,19 @@ class MetricLog:
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self._header: list[str] | None = None
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            with open(self.path, newline="") as fh:
-                self._header = next(csv.reader(fh))
-
-    def _build_header(self, record: MetricRecord) -> list[str]:
-        cols = ["epoch", *_SCALAR_FIELDS]
-        cols += [f"layer_norm_{l}" for l in range(len(record.layer_norms))]
-        cols += [f"eff_lr_{l}" for l in range(len(record.effective_lrs))]
-        cols += [f"fisher_trace_{l}" for l in sorted(record.fisher_traces)]
-        cols += [f"gn_trace_{l}" for l in sorted(record.gn_traces)]
-        return cols
-
-    def _row(self, record: MetricRecord) -> list[str]:
-        row = [str(record.epoch)]
-        row += [_fmt(getattr(record, name)) for name in _SCALAR_FIELDS]
-        row += [_fmt(v) for v in record.layer_norms]
-        row += [_fmt(v) for v in record.effective_lrs]
-        row += [_fmt(record.fisher_traces[l]) for l in sorted(record.fisher_traces)]
-        row += [_fmt(record.gn_traces[l]) for l in sorted(record.gn_traces)]
-        return row
+        self._header: tuple[str, ...] | None = None
 
     def append(self, record: MetricRecord) -> None:
-        header = self._build_header(record)
+        header, row = zip(*_columns(record))
         new_file = self._header is None
         if not new_file and header != self._header:
             raise ShapeError("record layout does not match the log's existing header")
-        with open(self.path, "a", newline="") as fh:
+        with open(self.path, "w" if new_file else "a", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             if new_file:
                 writer.writerow(header)
                 self._header = header
-            writer.writerow(self._row(record))
+            writer.writerow(row)
 
 
 HEALTH_FIELDS = ("a_eig_min", "a_eig_max", "s_eig_min", "s_eig_max", "damping_ratio")
@@ -273,33 +263,3 @@ def write_kfac_health(path, health: list[tuple[int, list[curvature.FactorSpectru
             for l, sp in enumerate(spectra):
                 writer.writerow([step, l, *(_fmt(getattr(sp, f)) for f in HEALTH_FIELDS),
                                  step - previous])
-
-
-def load_metrics(path) -> list[MetricRecord]:
-    """Parse a metric CSV back into records (exact float round-trip)."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-    idx = {name: i for i, name in enumerate(header)}
-    layer_cols = sorted(
-        (int(c.rsplit("_", 1)[1]) for c in header if c.startswith("layer_norm_"))
-    )
-    fisher_cols = sorted(
-        (int(c.rsplit("_", 1)[1]) for c in header if c.startswith("fisher_trace_"))
-    )
-    gn_cols = sorted((int(c.rsplit("_", 1)[1]) for c in header if c.startswith("gn_trace_")))
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            records.append(
-                MetricRecord(
-                    epoch=int(row[idx["epoch"]]),
-                    **{name: float(row[idx[name]]) for name in _SCALAR_FIELDS},
-                    layer_norms=tuple(float(row[idx[f"layer_norm_{l}"]]) for l in layer_cols),
-                    effective_lrs=tuple(float(row[idx[f"eff_lr_{l}"]]) for l in layer_cols),
-                    fisher_traces={l: float(row[idx[f"fisher_trace_{l}"]]) for l in fisher_cols},
-                    gn_traces={l: float(row[idx[f"gn_trace_{l}"]]) for l in gn_cols},
-                )
-            )
-    return records

@@ -28,6 +28,7 @@ RELU = "relu"
 IDENTITY = "identity"
 
 BN_EPSILON = 1e-8  # added to the batch variance; BN has no affine parameters
+BN_DECAY = 0.9  # running statistics <- BN_DECAY * running + (1 - BN_DECAY) * batch
 
 # The most (seed, example) rows one stacked backward carries, which bounds its
 # temporaries; a desk-net BN trace (32 rows, 10 classes) runs one example at a time.
@@ -147,10 +148,9 @@ class BnState:
 
     means: list[np.ndarray | None]
     variances: list[np.ndarray | None]
-    decay: float = 0.9
 
     @staticmethod
-    def fresh(spec: NetworkSpec, decay: float = 0.9) -> "BnState":
+    def fresh(spec: NetworkSpec) -> "BnState":
         means: list[np.ndarray | None] = []
         variances: list[np.ndarray | None] = []
         for l in range(spec.n_hidden):
@@ -161,11 +161,11 @@ class BnState:
             else:
                 means.append(None)
                 variances.append(None)
-        return BnState(means=means, variances=variances, decay=decay)
+        return BnState(means=means, variances=variances)
 
     def update(self, layer: int, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
-        self.means[layer] = self.decay * self.means[layer] + (1 - self.decay) * batch_mean
-        self.variances[layer] = self.decay * self.variances[layer] + (1 - self.decay) * batch_var
+        self.means[layer] = BN_DECAY * self.means[layer] + (1 - BN_DECAY) * batch_mean
+        self.variances[layer] = BN_DECAY * self.variances[layer] + (1 - BN_DECAY) * batch_var
 
 
 @dataclass
@@ -507,9 +507,10 @@ def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, BnState | None, i
         raise DataFormatError(f"checkpoint: header key 'spec' is malformed: {exc!r}") from exc
     expected = 2 * sum(spec.layer_dims[l + 1] for l in range(spec.n_hidden) if spec.use_bn[l])
     count, bn_count = header["count"], header.get("bn_count")
-    if bn_count not in (None, expected):
-        raise DataFormatError(f"checkpoint: header key 'bn_count' is {bn_count!r}, "
-                              f"expected {expected} for its spec")
+    for key, value, want in (("count", count, spec.n_params), ("bn_count", bn_count, expected)):
+        if value not in (None, want):
+            raise DataFormatError(f"checkpoint: header key {key!r} is {value!r}, "
+                                  f"expected {want} for its spec")
     payload = raw[nl + 1 :]
     size = 8 * (count + (bn_count or 0))
     if len(payload) != size:

@@ -331,13 +331,12 @@ def reference_normalized_sgd_step(
     norm_l: float,
     grad_at_theta_hat,
     eta: float,
-    renormalize: bool = True,
 ) -> np.ndarray:
     """First-order SGD update of a scale-invariant layer's direction:
-    subtract eta / norm^2 times the tangentially projected gradient, then
-    renormalize.  `renormalize=False` returns the bare first-order point,
-    whose gap to the true next direction is the quadratic-in-eta residual
-    that the scaling checks measure."""
+    subtract eta / norm^2 times the tangentially projected gradient.  The
+    bare first-order point is returned, not renormalized: its gap to the
+    true next direction is the quadratic-in-eta residual that the scaling
+    checks measure."""
     if norm_l <= 0:
         raise DegenerateError(f"layer norm must be positive, got {norm_l}")
     v = _check_unit(theta_hat)
@@ -345,8 +344,7 @@ def reference_normalized_sgd_step(
     if g.shape != v.shape:
         raise ShapeError(f"gradient shape {g.shape} != direction shape {v.shape}")
     tangent = g - (v @ g) * v
-    new = v - (eta / norm_l**2) * tangent
-    return new / np.linalg.norm(new) if renormalize else new
+    return v - (eta / norm_l**2) * tangent
 
 
 def reference_normalized_kfac_step(
@@ -356,13 +354,12 @@ def reference_normalized_kfac_step(
     lam: float,
     grad_at_theta_hat,
     eta: float,
-    renormalize: bool = True,
 ) -> np.ndarray:
     """First-order preconditioned update of a scale-invariant layer's
     direction: the tangential projection of (C(theta_hat) + norm^2 lam I)^-1
-    grad, then renormalization (skipped when `renormalize=False`, as in the
-    quadratic-residual scaling checks).  The effective damping grows with the
-    squared layer norm."""
+    grad, as the bare first-order point (not renormalized) that the
+    quadratic-residual scaling checks measure.  The effective damping grows
+    with the squared layer norm."""
     if norm_l <= 0:
         raise DegenerateError(f"layer norm must be positive, got {norm_l}")
     if lam < 0:
@@ -383,5 +380,4 @@ def reference_normalized_kfac_step(
     if not np.all(np.isfinite(precond)):
         raise NumericalError("preconditioned gradient is not finite")
     step = precond - (v @ precond) * v
-    new = v - eta * step
-    return new / np.linalg.norm(new) if renormalize else new
+    return v - eta * step

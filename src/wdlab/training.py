@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import curvature, data, diagnostics, loss, nn, optim
-from .errors import DomainError, InstabilityError, TrainingDiverged
+from .errors import DomainError, InstabilityError, ShapeError, TrainingDiverged
 
 
 @dataclass
@@ -55,10 +55,17 @@ class RunResult:
 
 
 def build_dataset(cfg: config_mod.ExperimentConfig) -> data.Dataset:
-    """Materialize the configured dataset with its train/val/test split."""
+    """Materialize the configured dataset with its train/val/test split; an
+    MNIST pool the configured net cannot take is refused."""
     total = cfg.n_train + cfg.n_val + cfg.n_test
     if cfg.dataset == "mnist":
         ds = data.load_mnist(cfg.mnist_images, cfg.mnist_labels)
+        if ds.x.shape[1] != cfg.layer_dims[0]:
+            raise ShapeError(f"MNIST images have {ds.x.shape[1]} pixels, model.dims "
+                             f"starts at {cfg.layer_dims[0]}")
+        if ds.y.max(initial=0) >= cfg.layer_dims[-1]:
+            raise DomainError(f"MNIST label {ds.y.max()} needs more than the "
+                              f"{cfg.layer_dims[-1]} classes of model.dims")
         if cfg.whiten_inputs:
             ds = data.Dataset(x=data.whiten(ds.x), y=ds.y, n_classes=ds.n_classes)
     else:

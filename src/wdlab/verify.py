@@ -110,8 +110,9 @@ def check_homogeneity(trials: int = 100, seed: int = 0) -> CheckReport:
 
 
 def check_gn_norm_identities(trials: int = 100, seed: int = 0) -> CheckReport:
-    """theta' G theta = (L+1)^2 E||f||^2 on ReLU nets, and the layerwise block
-    norm = (L+1) E||f||^2 on linear nets, both against dense quadratic forms."""
+    """theta' G theta = (L+1)^2 E||f||^2 and the layerwise block norm
+    = (L+1) E||f||^2 on bias-free ReLU and linear nets, both against dense
+    quadratic forms; so (L+1) times the block norm gives theta' G theta."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
@@ -126,17 +127,14 @@ def check_gn_norm_identities(trials: int = 100, seed: int = 0) -> CheckReport:
         theta = nn.flatten_params(spec, params)
         dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
         quad = float(theta @ dense @ theta)
-        worst = max(worst, _rel(curvature.gn_norm(spec, params, x), quad))
+        gnn = curvature.gn_norm(spec, params, x)
         block_quad = sum(
             float(theta[sl] @ dense[sl, sl] @ theta[sl])
             for sl in nn.layer_slices(spec)
         )
         _, block = diagnostics.probe_norms(spec, params, x)
-        worst = max(worst, _rel(block, block_quad))
-        if spec.activation == "identity":
-            logits, _ = nn.forward(spec, params, x, mode="eval")
-            mean_sq = float(np.mean(np.sum(logits**2, axis=1)))
-            worst = max(worst, _rel(block, spec.n_layers * mean_sq))
+        worst = max(worst, _rel(gnn, quad), _rel(block, block_quad),
+                    _rel(spec.n_layers * block, gnn))
     return _report("gn_norm_identities", trials, worst, 1e-8, seed)
 
 
@@ -255,18 +253,14 @@ def _normalized_step_discrepancy(spec, params, x, y, eta, lam):
 
     actual = (w0 - eta * g0).ravel()
     actual = actual / np.linalg.norm(actual)
-    ref = optim.reference_normalized_sgd_step(
-        theta_hat, norm, g_hat, eta, renormalize=False
-    )
+    ref = optim.reference_normalized_sgd_step(theta_hat, norm, g_hat, eta)
     d_sgd = float(np.linalg.norm(actual - ref))
 
     block = _layer_block(spec, params, x, curvature.GAUSS_NEWTON)
     damped = np.linalg.solve(block + lam * np.eye(block.shape[0]), g0.ravel())
     actual_ng = (w0.ravel() - eta * damped) / np.linalg.norm(w0.ravel() - eta * damped)
     block_hat = _layer_block(spec, scaled, x, curvature.GAUSS_NEWTON)
-    ref_ng = optim.reference_normalized_kfac_step(
-        theta_hat, norm, block_hat, lam, g_hat, eta, renormalize=False
-    )
+    ref_ng = optim.reference_normalized_kfac_step(theta_hat, norm, block_hat, lam, g_hat, eta)
     d_ng = float(np.linalg.norm(actual_ng - ref_ng))
     return d_sgd, d_ng
 

@@ -1,12 +1,15 @@
 """Shared test utilities: central finite differences, small builders, the
-reference Kronecker preconditioner, and the separate weight and bias update
-formulas that the optimizers' single [W b] update replaced."""
+reference Kronecker preconditioner, the separate weight and bias update
+formulas that the optimizers' single [W b] update replaced, and a parser of
+a run's metrics CSV."""
 
+import csv
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 
-from wdlab import curvature, loss, nn, optim
+from wdlab import curvature, diagnostics, loss, nn, optim
 from wdlab.errors import DomainError, NumericalError, ShapeError
 
 
@@ -242,3 +245,25 @@ def ref_kfac_step(state, spec, params, batch, coupling):
             new.weights[l] = new.weights[l] - (eta * beta) * params.weights[l]
     state.step += 1
     return new
+
+
+def _indexed(row, prefix):
+    """A CSV row's `<prefix><l>` columns as {l: value}, in file order."""
+    return {int(c[len(prefix):]): float(v) for c, v in row.items() if c.startswith(prefix)}
+
+
+def load_metrics(path) -> list[diagnostics.MetricRecord]:
+    """Parse a metrics CSV back into records, each float bit-exactly."""
+    scalars = {f.name for f in dataclasses.fields(diagnostics.MetricRecord)} - {"epoch"}
+    with open(path, newline="") as fh:
+        return [
+            diagnostics.MetricRecord(
+                epoch=int(row["epoch"]),
+                **{c: float(v) for c, v in row.items() if c in scalars},
+                layer_norms=tuple(_indexed(row, "layer_norm_").values()),
+                effective_lrs=tuple(_indexed(row, "eff_lr_").values()),
+                fisher_traces=_indexed(row, "fisher_trace_"),
+                gn_traces=_indexed(row, "gn_trace_"),
+            )
+            for row in csv.DictReader(fh)
+        ]

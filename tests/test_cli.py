@@ -5,10 +5,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wdlab import cli, config, diagnostics, verify
+from wdlab import cli, config, verify
 from wdlab.verify import CheckReport
+
+from helpers import load_metrics
+from test_data import _idx_images, _idx_labels
 
 
 def tiny_config(out_dir, **overrides):
@@ -43,7 +47,7 @@ def test_train_flag_overrides_win(tmp_path):
     code = cli.main(["train", "--config", str(ini), "--seed", "5",
                      "--out", str(other), "--set", "run.epochs=0"])
     assert code == 0
-    records = diagnostics.load_metrics(other / "metrics.csv")
+    records = load_metrics(other / "metrics.csv")
     assert len(records) == 1  # epochs override took effect
 
 
@@ -95,6 +99,26 @@ def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, overrid
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((5, 5, 3), "4 pixels"),
+    ((4, 5, 3), "label 3"),
+])
+def test_mnist_pool_that_does_not_fit_the_net_fails_before_writing_anything(
+        tmp_path, capsys, dims, message):
+    rng = np.random.default_rng(7)
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(_idx_images(rng.integers(0, 256, size=(40, 2, 2))))
+    labels.write_bytes(_idx_labels(np.arange(40) % 4))
+    out_dir = tmp_path / "run"
+    cfg = tiny_config(out_dir, dataset="mnist", mnist_images=str(images),
+                      mnist_labels=str(labels), layer_dims=dims,
+                      n_train=20, n_val=10, n_test=10, batch_size=10)
+    code = cli.main(["train", "--config", str(write_ini(tmp_path, cfg))])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_grid_command_picks_and_retrains(tmp_path, capsys):
     ini = write_ini(tmp_path, tiny_config(tmp_path / "grid", epochs=1))
     code = cli.main(["grid", "--config", str(ini), "--etas", "0.1",
@@ -131,7 +155,7 @@ def test_diag_reproduces_the_grid_retrain(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["diag", str(best / "checkpoint.bin")]) == 0
     payload = json.loads(capsys.readouterr().out)
-    final = diagnostics.load_metrics(best / "metrics.csv")[-1]
+    final = load_metrics(best / "metrics.csv")[-1]
     assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
     assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
     assert payload["gn_traces"]["0"] == pytest.approx(final.gn_traces[0], rel=1e-12)
@@ -238,7 +262,7 @@ def test_diag_matches_recorded_metrics(tmp_path, capsys, net):
     code = cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    final = diagnostics.load_metrics(tmp_path / "run" / "metrics.csv")[-1]
+    final = load_metrics(tmp_path / "run" / "metrics.csv")[-1]
     assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
     assert payload["jacobian_norm"] == pytest.approx(final.jacobian_norm, rel=1e-12)
     assert payload["kfac_gn_norm"] == pytest.approx(final.kfac_gn_norm, rel=1e-12)
@@ -262,7 +286,7 @@ def test_diag_reads_a_config_with_the_retired_damping_key(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin")]) == 0
     payload = json.loads(capsys.readouterr().out)
-    final = diagnostics.load_metrics(tmp_path / "run" / "metrics.csv")[-1]
+    final = load_metrics(tmp_path / "run" / "metrics.csv")[-1]
     assert payload["train_loss"] == pytest.approx(final.train_loss, rel=1e-12)
     assert payload["test_loss"] == pytest.approx(final.test_loss, rel=1e-12)
     assert payload["kfac_gn_norm"] == pytest.approx(final.kfac_gn_norm, rel=1e-12)

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import diagnostics, nn
+from wdlab import curvature, diagnostics, nn
 from wdlab.errors import ContractError, DegenerateError, DomainError, ShapeError
 
-from helpers import central_diff_jacobian, random_net
+from helpers import central_diff_jacobian, load_metrics, random_net
 
 
 # --- effective learning rate ------------------------------------------------
@@ -182,14 +182,6 @@ def test_norm_transfer_does_not_mutate_input():
         npt.assert_array_equal(before, after)
 
 
-# --- generalization gap -----------------------------------------------------
-
-
-def test_generalization_gap():
-    assert diagnostics.generalization_gap(0.2, 0.5) == pytest.approx(0.3)
-    assert diagnostics.generalization_gap(0.5, 0.2) == pytest.approx(-0.3)
-
-
 # --- evaluation -------------------------------------------------------------
 
 
@@ -278,6 +270,40 @@ def test_bn_record_measures_the_network_it_evaluates():
     assert np.isnan(rec.gn_norm)
 
 
+def _probe_setup(activation):
+    """The 6-8-3 bias-free, BN-free net with 20 evaluation rows and the
+    first 10 as probe rows."""
+    rng = np.random.default_rng(46)
+    spec, params = random_net(rng, [6, 8, 3], activation=activation, bias=False)
+    x = rng.normal(size=(20, 6))
+    y = rng.integers(0, 3, size=20)
+    return spec, params, (x, y), x[:10]
+
+
+def test_record_metrics_runs_one_forward_per_pass(monkeypatch):
+    spec, params, evaluation, probe_x = _probe_setup("relu")
+    rows = []
+    forward = nn.forward
+
+    def counting(spec, params, x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return forward(spec, params, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting)
+    diagnostics.record_metrics(0, spec, params, 0.1, evaluation, evaluation, probe_x=probe_x)
+    assert rows == [20, 20, 10]  # train and test evaluation, then the probe pass
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_record_gn_norm_matches_the_output_norm_shortcut(activation):
+    spec, params, evaluation, probe_x = _probe_setup(activation)
+    rec = diagnostics.record_metrics(0, spec, params, 0.1, evaluation, evaluation,
+                                     probe_x=probe_x)
+    want = curvature.gn_norm(spec, params, probe_x)
+    assert rec.gn_norm == spec.n_layers * rec.kfac_gn_norm
+    assert abs(rec.gn_norm - want) <= 1e-12 * want
+
+
 def test_record_metrics_without_probe_leaves_nan():
     rec = _small_run_record(probe=False)
     assert np.isnan(rec.jacobian_norm)
@@ -333,7 +359,7 @@ def test_metric_log_round_trips_exactly(tmp_path):
     records = [_small_run_record(epoch=e, traces=(0,)) for e in range(3)]
     for rec in records:
         log.append(rec)
-    loaded = diagnostics.load_metrics(path)
+    loaded = load_metrics(path)
     assert len(loaded) == 3
     for want, got in zip(records, loaded):
         assert _record_equal(want, got)
@@ -366,7 +392,7 @@ def test_metric_log_rewrite_is_byte_identical(tmp_path):
 def test_metric_log_nan_round_trips(tmp_path):
     path = tmp_path / "metrics.csv"
     diagnostics.MetricLog(path).append(_small_run_record(probe=False))
-    loaded = diagnostics.load_metrics(path)
+    loaded = load_metrics(path)
     assert np.isnan(loaded[0].jacobian_norm)
 
 
@@ -378,12 +404,13 @@ def test_metric_log_rejects_layout_change(tmp_path):
         log.append(_small_run_record(traces=()))
 
 
-def test_metric_log_reopen_appends(tmp_path):
+def test_metric_log_starts_a_fresh_file(tmp_path):
     path = tmp_path / "metrics.csv"
-    diagnostics.MetricLog(path).append(_small_run_record(epoch=0))
-    diagnostics.MetricLog(path).append(_small_run_record(epoch=1))
-    loaded = diagnostics.load_metrics(path)
-    assert [r.epoch for r in loaded] == [0, 1]
+    path.write_text("stale,header\n1,2\n")
+    log = diagnostics.MetricLog(path)
+    for epoch in (0, 1):
+        log.append(_small_run_record(epoch=epoch))
+    assert [r.epoch for r in load_metrics(path)] == [0, 1]
     assert path.read_text().count("epoch") == 1  # single header row
 
 

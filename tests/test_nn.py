@@ -483,6 +483,13 @@ def test_checkpoint_reports_corruption_with_offsets(tmp_path):
         with pytest.raises(DataFormatError, match=message):
             nn.load_checkpoint(malformed)
 
+    # a count the spec does not have, with a payload that matches it
+    grown = tmp_path / "grown.bin"
+    grown.write_bytes(json.dumps({**header, "count": header["count"] + 2}).encode() + b"\n"
+                      + payload + bytes(16))
+    with pytest.raises(DataFormatError, match="'count'"):
+        nn.load_checkpoint(grown)
+
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
     rng = np.random.default_rng(19)

@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from wdlab import diagnostics, plots, replicate
+from wdlab import plots, replicate
+
+from helpers import load_metrics
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def m1_single_seed(tmp_path_factory):
 def test_m1_writes_per_arm_metrics(m1_single_seed):
     root, _ = m1_single_seed
     for arm in ("baseline", "wd_hidden", "norm_transfer"):
-        records = diagnostics.load_metrics(root / "seed0" / arm / "metrics.csv")
+        records = load_metrics(root / "seed0" / arm / "metrics.csv")
         assert len(records) == 31  # initial record plus one per epoch
 
 
@@ -53,8 +55,8 @@ def test_m1_decayed_norms_sit_below_baseline(m1_single_seed):
 
 def test_m1_transfer_arm_tracks_decayed_norms(m1_single_seed):
     root, _ = m1_single_seed
-    wd = diagnostics.load_metrics(root / "seed0" / "wd_hidden" / "metrics.csv")
-    wn = diagnostics.load_metrics(root / "seed0" / "norm_transfer" / "metrics.csv")
+    wd = load_metrics(root / "seed0" / "wd_hidden" / "metrics.csv")
+    wn = load_metrics(root / "seed0" / "norm_transfer" / "metrics.csv")
     wd_norms = np.array([r.layer_norms for r in wd])
     wn_norms = np.array([r.layer_norms for r in wn])
     # hidden layers pinned to the decayed run's norms, output layer free

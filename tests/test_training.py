@@ -12,6 +12,8 @@ import pytest
 from wdlab import config, data, diagnostics, loss, nn, optim, training
 from wdlab.errors import DomainError, TrainingDiverged
 
+from helpers import load_metrics
+
 
 def tiny_config(tmp_path, **kw):
     base = dict(
@@ -42,7 +44,7 @@ def test_record_count_is_epochs_plus_one(tmp_path):
     cfg = tiny_config(tmp_path, epochs=3)
     result = training.train(cfg)
     assert [r.epoch for r in result.records] == [0, 1, 2, 3]
-    loaded = diagnostics.load_metrics(result.metrics_path)
+    loaded = load_metrics(result.metrics_path)
     assert len(loaded) == 4
 
 
@@ -91,7 +93,7 @@ def test_rerun_in_same_directory_overwrites_metrics(tmp_path):
     cfg = tiny_config(tmp_path)
     first = training.train(cfg)
     again = training.train(cfg)
-    assert len(diagnostics.load_metrics(again.metrics_path)) == cfg.epochs + 1
+    assert len(load_metrics(again.metrics_path)) == cfg.epochs + 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
