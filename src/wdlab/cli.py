@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from . import diagnostics, errors, nn, optim, replicate, training, verify
+from . import diagnostics, errors, nn, replicate, training, verify
 
 _USER_ERRORS = (
     errors.ShapeError, errors.DomainError, errors.CapacityError,
@@ -59,9 +59,9 @@ def _parse_axis(text):
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise SystemExit(f"bad grid axis {text!r}: expected comma-separated floats")
+        raise errors.DomainError(f"bad grid axis {text!r}: expected comma-separated floats")
     if not values:
-        raise SystemExit(f"bad grid axis {text!r}: no values")
+        raise errors.DomainError(f"bad grid axis {text!r}: no values")
     return values
 
 
@@ -123,10 +123,8 @@ def _cmd_diag(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     train, test, probe_x, trace_x = training.measured_inputs(cfg, training.build_dataset(cfg))
-    # the rate train records epoch `epoch` at: the one its last epoch stepped with
-    eta = optim.apply_lr_schedule(training.make_optimizer(cfg), epoch - 1).eta
     record = diagnostics.record_metrics(
-        epoch, spec, params, eta, train, test, bn_state=bn_state,
+        epoch, spec, params, cfg.eta_at(epoch), train, test, bn_state=bn_state,
         probe_x=probe_x, trace_x=trace_x, trace_layers=tuple(cfg.trace_layers))
     payload = dataclasses.asdict(record)
     payload["checkpoint"] = str(ckpt)

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise DomainError("mnist dataset needs images= and labels= paths")
         if self.eta <= 0:
             raise DomainError(f"eta must be positive, got {self.eta}")
+        if any(b <= a for a, b in zip((-1, *self.schedule), self.schedule)):
+            raise DomainError(f"schedule epochs must be >= 0 and strictly ascending, got {self.schedule}")
         if self.beta < 0:
             raise DomainError(f"beta must be nonnegative, got {self.beta}")
         if self.momentum > 0 and self.optimizer != "sgd":
@@ -109,6 +111,12 @@ class ExperimentConfig:
             raise CapacityError(f"traces sum over {self.layer_dims[-1]} classes, cap is {curvature.CLASS_CAP}")
         if self.trace_layers and not least <= self.trace_size <= self.n_train:
             raise DomainError(f"trace size must lie in [{least}, {self.n_train}], got {self.trace_size}")
+
+    def eta_at(self, epoch: int) -> float:
+        """The rate epoch `epoch` trains at and its record reports: eta
+        dropped 10x for each schedule entry below `epoch`, so epoch 0 is eta."""
+        drops = sum(1 for s in self.schedule if s < epoch)
+        return self.eta / (10.0**drops)
 
     def network_spec(self) -> nn.NetworkSpec:
         return nn.mlp(

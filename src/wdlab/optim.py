@@ -90,23 +90,6 @@ def _check_decay_stability(eta: float, coupling: Coupling) -> None:
         )
 
 
-# --- learning-rate schedule -------------------------------------------------
-
-
-def apply_lr_schedule(state, epoch: int):
-    """eta = base_eta / 10^(number of schedule epochs <= epoch); idempotent."""
-    drops = sum(1 for s in state.schedule if s <= epoch)
-    state.eta = state.base_eta / (10.0**drops)
-    return state
-
-
-def _normalize_schedule(schedule) -> tuple[int, ...]:
-    sched = tuple(int(s) for s in schedule)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise DomainError(f"schedule epochs must be strictly ascending, got {sched}")
-    return sched
-
-
 # --- the one update rule ----------------------------------------------------
 
 
@@ -150,9 +133,7 @@ def _update(state, params: nn.NetworkParams, grads, coupling: Coupling, directio
 @dataclass
 class SgdState:
     eta: float
-    schedule: tuple[int, ...] = ()
     momentum: float = 0.0
-    base_eta: float = field(init=False)
     velocities: list[np.ndarray] | None = None  # [W b] layout
 
     def __post_init__(self):
@@ -160,8 +141,6 @@ class SgdState:
             raise DomainError(f"learning rate must be positive, got {self.eta}")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError(f"momentum must be in [0, 1), got {self.momentum}")
-        self.schedule = _normalize_schedule(self.schedule)
-        self.base_eta = self.eta
 
 
 def sgd_step(
@@ -192,11 +171,9 @@ def sgd_step(
 @dataclass
 class AdamState:
     eta: float
-    schedule: tuple[int, ...] = ()
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    base_eta: float = field(init=False)
     step: int = 0
     m: list[np.ndarray] | None = None  # [W b] layout, like v
     v: list[np.ndarray] | None = None
@@ -206,8 +183,6 @@ class AdamState:
             raise DomainError(f"learning rate must be positive, got {self.eta}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise DomainError("Adam moment decays must lie in [0, 1)")
-        self.schedule = _normalize_schedule(self.schedule)
-        self.base_eta = self.eta
 
 
 def adam_step(
@@ -251,12 +226,10 @@ class KfacState:
     metric: str
     eta: float
     lam: float = 1e-3
-    schedule: tuple[int, ...] = ()
     t_stats: int = 10
     t_inv: int = 100
     factor_decay: float = 0.95
     rng: np.random.Generator | None = None
-    base_eta: float = field(init=False)
     step: int = 0
     factors: curvature.KfacFactors | None = None
     health: list[tuple[int, list[curvature.FactorSpectrum]]] = field(default_factory=list)
@@ -270,8 +243,6 @@ class KfacState:
             raise DomainError(f"damping must be positive, got {self.lam}")
         if self.t_stats < 1 or self.t_inv < 1:
             raise DomainError("update intervals must be at least 1")
-        self.schedule = _normalize_schedule(self.schedule)
-        self.base_eta = self.eta
         if self.metric == "fisher" and self.rng is None:
             raise DomainError("the fisher metric needs an rng for target sampling")
 

@@ -120,16 +120,15 @@ def write_manifest(path, config_text: str, seed: int) -> None:
 
 def make_optimizer(cfg: config_mod.ExperimentConfig):
     if cfg.optimizer == "sgd":
-        return optim.SgdState(eta=cfg.eta, schedule=cfg.schedule, momentum=cfg.momentum)
+        return optim.SgdState(eta=cfg.eta, momentum=cfg.momentum)
     if cfg.optimizer == "adam":
-        return optim.AdamState(eta=cfg.eta, schedule=cfg.schedule)
+        return optim.AdamState(eta=cfg.eta)
     metric = "fisher" if cfg.optimizer == "kfac_fisher" else "gn"
     rng = np.random.default_rng([cfg.seed, 0xF1]) if metric == "fisher" else None
     return optim.KfacState(
         metric=metric,
         eta=cfg.eta,
         lam=cfg.lam,
-        schedule=cfg.schedule,
         t_stats=cfg.stats_every,
         t_inv=cfg.invert_every,
         factor_decay=cfg.factor_decay,
@@ -225,7 +224,7 @@ def train(
     n_train = x_train.shape[0]
     try:
         for epoch in range(1, cfg.epochs + 1):
-            optim.apply_lr_schedule(opt_state, epoch - 1)
+            opt_state.eta = cfg.eta_at(epoch)
             perm = np.random.default_rng([cfg.seed, 0x5F, epoch]).permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
                 batch = perm[start : start + cfg.batch_size]
@@ -291,13 +290,13 @@ def _cell_dir(base_out: str, eta: float, beta: float) -> str:
 
 def _cell_task(base, eta: float, beta: float, dataset):
     """`_run_cell`'s arguments, built before any cell trains so a bad value
-    raises first; a cell with eta*beta >= 1 gets no config: it is rejected."""
+    raises first; a cell whose decay has eta*beta >= 1 gets no config."""
     out_dir = _cell_dir(base.out_dir, eta, beta)
     try:
         cell_cfg = dataclasses.replace(base, eta=eta, beta=beta, out_dir=out_dir)
     except InstabilityError:
         cell_cfg = None
-    return eta, beta, out_dir, cell_cfg if eta * beta < 1.0 else None, dataset
+    return eta, beta, out_dir, cell_cfg, dataset
 
 
 def _run_cell(args) -> CellResult:

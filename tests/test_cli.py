@@ -88,6 +88,8 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("coupling.beta=20", "eta * beta"),
     ("run.batch=1", "batch size"),
     ("model.dims=6,8,20", "20 classes"),
+    ("run.schedule=-1", "schedule"),
+    ("run.schedule=24,12", "schedule"),
 ])
 def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, override, message):
     out_dir = tmp_path / "run"
@@ -120,7 +122,7 @@ def test_mnist_pool_that_does_not_fit_the_net_fails_before_writing_anything(
 
 
 def test_grid_command_picks_and_retrains(tmp_path, capsys):
-    ini = write_ini(tmp_path, tiny_config(tmp_path / "grid", epochs=1))
+    ini = write_ini(tmp_path, tiny_config(tmp_path / "grid", epochs=1, coupling="weight_decay"))
     code = cli.main(["grid", "--config", str(ini), "--etas", "0.1",
                      "--betas", "0,10"])  # eta*beta >= 1 cell must be rejected
     out = capsys.readouterr().out
@@ -133,6 +135,8 @@ def test_grid_command_picks_and_retrains(tmp_path, capsys):
 @pytest.mark.parametrize("etas, betas, coupling, message", [
     ("0.1,-1", "0", "none", "eta must be positive"),
     ("0.1", "0,-0.5", "weight_decay", "beta must be nonnegative"),
+    ("abc", "0", "none", "error: bad grid axis"),
+    (",", "0", "none", "error: bad grid axis"),
 ])
 def test_grid_refuses_a_bad_axis_value_before_any_cell_trains(tmp_path, capsys, etas, betas,
                                                               coupling, message):

@@ -82,6 +82,23 @@ def test_validation_rejects_unstable_decay(mode):
         config.ExperimentConfig(eta=0.1, coupling=mode, beta=10.0)
 
 
+def test_eta_at_decade_drops():
+    cfg = config.ExperimentConfig(eta=0.1, schedule=(40, 80))
+    assert cfg.eta_at(0) == 0.1
+    assert cfg.eta_at(40) == pytest.approx(0.1)  # epoch 40 trains before the drop
+    assert cfg.eta_at(41) == pytest.approx(0.01)
+    assert cfg.eta_at(80) == pytest.approx(0.01)
+    assert cfg.eta_at(81) == pytest.approx(0.001)
+    assert cfg.eta_at(11) == pytest.approx(0.1)  # a pure function of the epoch
+
+
+def test_eta_at_empty_schedule_and_validation():
+    assert config.ExperimentConfig(eta=0.3, schedule=()).eta_at(1000) == 0.3
+    for schedule in ((10, 10), (24, 12), (-1,)):
+        with pytest.raises(DomainError, match="schedule"):
+            config.ExperimentConfig(eta=0.1, schedule=schedule)
+
+
 def test_validation_accepts_the_boundary_cases():
     config.ExperimentConfig(optimizer="sgd", momentum=0.9)
     config.ExperimentConfig(n_test=100, probe_size=100)

@@ -621,28 +621,3 @@ def test_reference_sgd_residual_shrinks_quadratically():
     d1 = _bn_layer_step_discrepancy(1e-2, seed=13)
     d2 = _bn_layer_step_discrepancy(5e-3, seed=13)
     assert 3.5 <= d1 / d2 <= 4.5
-
-
-# --- learning-rate schedule -------------------------------------------------
-
-
-def test_lr_schedule_decade_drops():
-    state = optim.SgdState(eta=0.1, schedule=(40, 80))
-    optim.apply_lr_schedule(state, 39)
-    assert_allclose(state.eta, 0.1)
-    optim.apply_lr_schedule(state, 40)
-    assert_allclose(state.eta, 0.01)
-    optim.apply_lr_schedule(state, 40)
-    assert_allclose(state.eta, 0.01)  # idempotent
-    optim.apply_lr_schedule(state, 80)
-    assert_allclose(state.eta, 0.001)
-    optim.apply_lr_schedule(state, 10)
-    assert_allclose(state.eta, 0.1)  # schedule is a pure function of epoch
-
-
-def test_lr_schedule_empty_and_validation():
-    state = optim.AdamState(eta=0.3)
-    optim.apply_lr_schedule(state, 1000)
-    assert state.eta == 0.3
-    with pytest.raises(DomainError):
-        optim.SgdState(eta=0.1, schedule=(10, 10))

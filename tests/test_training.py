@@ -328,7 +328,7 @@ def test_grid_singleton_wins(tmp_path):
 
 
 def test_grid_rejects_unstable_cells_without_crashing(tmp_path):
-    cfg = tiny_config(tmp_path, epochs=0)
+    cfg = tiny_config(tmp_path, epochs=0, coupling="weight_decay")
     result = training.grid(cfg, etas=[0.1, 10.0], betas=[0.0, 0.2])
     by_key = {(c.eta, c.beta): c for c in result.cells}
     assert by_key[(10.0, 0.2)].status == "rejected"
@@ -379,9 +379,17 @@ def test_grid_needs_nonempty_axes(tmp_path):
 
 
 def test_grid_all_cells_rejected_is_an_error(tmp_path):
-    cfg = tiny_config(tmp_path, epochs=0)
+    cfg = tiny_config(tmp_path, epochs=0, coupling="weight_decay")
     with pytest.raises(DomainError):
         training.grid(cfg, etas=[10.0], betas=[0.5])
+
+
+def test_grid_trains_a_large_eta_beta_cell_when_no_decay_runs(tmp_path):
+    # beta only acts through a decay coupling, so under `none` eta*beta >= 1 is harmless
+    cfg = tiny_config(tmp_path, epochs=1)
+    result = training.grid(cfg, etas=[0.5], betas=[4.0])
+    assert [c.status for c in result.cells] == ["trained"]
+    assert result.best.beta == 4.0
 
 
 def test_grid_parallel_jobs_match_serial(tmp_path):
