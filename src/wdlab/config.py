@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass
 
 from . import curvature, nn, optim
@@ -61,6 +62,11 @@ class ExperimentConfig:
     trace_size: int = 64
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.dataset not in DATASETS:
             raise DomainError(f"unknown dataset {self.dataset!r}; choose from {DATASETS}")
         if self.optimizer not in OPTIMIZERS:
@@ -218,7 +224,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     parser.read_string(text, source=source)
     return _from_parser(parser, source=source)
 
@@ -248,7 +254,7 @@ def _from_parser(parser: configparser.ConfigParser, source: str) -> ExperimentCo
 
 def to_ini(config: ExperimentConfig) -> str:
     """Render a config back to its file form (round-trips through load)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, entries in _LAYOUT.items():
         parser[section] = {}
         for key, attr, kind in entries:

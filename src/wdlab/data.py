@@ -161,12 +161,11 @@ def gen_synthetic(
     n: int,
     d: int,
     k: int,
-    teacher: nn.NetworkSpec | None = None,
     seed: int = 0,
     whiten_inputs: bool = False,
 ) -> Dataset:
-    """Gaussian inputs labeled by the argmax of a randomly initialized
-    teacher network's logits.
+    """Gaussian inputs labeled by the argmax of the logits of a randomly
+    initialized teacher network, d -> 32 (ReLU) -> k without biases.
 
     The teacher is resampled until every class claims at least 1% of the
     examples, so the labels are never degenerate.  Whitening requires n > d.
@@ -178,12 +177,7 @@ def gen_synthetic(
             f"whitening needs more examples than dimensions (n={n}, d={d}); "
             "reduce d or draw more samples"
         )
-    if teacher is None:
-        teacher = nn.mlp([d, 32, k], activation="relu", bias=False)
-    if teacher.input_dim != d or teacher.output_dim != k:
-        raise ShapeError(
-            f"teacher maps {teacher.input_dim} -> {teacher.output_dim}, need {d} -> {k}"
-        )
+    teacher = nn.mlp([d, 32, k], activation="relu", bias=False)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     if whiten_inputs:

@@ -40,28 +40,23 @@ PARAM_CAP = 20000
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture: layer widths, activation, per-hidden-layer BN flags, bias."""
+    """Architecture: layer widths, activation, BN on every hidden layer or none, bias."""
 
     layer_dims: tuple[int, ...]
     activation: str = RELU
-    use_bn: tuple[bool, ...] = ()
+    has_bn: bool = False
     use_bias: bool = False
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
-        object.__setattr__(self, "use_bn", tuple(bool(b) for b in self.use_bn))
+        object.__setattr__(self, "has_bn", bool(self.has_bn) and len(dims) > 2)  # no hidden layer, no BN
         if len(dims) < 2:
             raise ShapeError("need at least one weight layer (two entries in layer_dims)")
         if any(d < 1 for d in dims):
             raise ShapeError(f"layer dims must be positive, got {dims}")
         if self.activation not in (RELU, IDENTITY):
             raise DomainError(f"unknown activation {self.activation!r}")
-        if len(self.use_bn) != self.n_hidden:
-            raise ShapeError(
-                f"use_bn must have one flag per hidden layer ({self.n_hidden}), "
-                f"got {len(self.use_bn)}"
-            )
 
     @property
     def n_layers(self) -> int:
@@ -80,13 +75,9 @@ class NetworkSpec:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
-    @property
-    def has_bn(self) -> bool:
-        return any(self.use_bn)
-
     def bn_at(self, layer: int) -> bool:
         """True when layer `layer`'s pre-activation is batch-normalized."""
-        return layer < self.n_hidden and self.use_bn[layer]
+        return self.has_bn and layer < self.n_hidden
 
     def weight_shape(self, layer: int) -> tuple[int, int]:
         return (self.layer_dims[layer + 1], self.layer_dims[layer])
@@ -103,29 +94,27 @@ class NetworkSpec:
         return {
             "layer_dims": list(self.layer_dims),
             "activation": self.activation,
-            "use_bn": list(self.use_bn),
+            "use_bn": [self.has_bn] * self.n_hidden,
             "use_bias": self.use_bias,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        return NetworkSpec(
+        spec = NetworkSpec(
             layer_dims=tuple(d["layer_dims"]),
             activation=d["activation"],
-            use_bn=tuple(d["use_bn"]),
+            has_bn=any(d["use_bn"]),
             use_bias=bool(d["use_bias"]),
         )
+        if list(d["use_bn"]) != spec.to_dict()["use_bn"]:
+            raise ShapeError(f"use_bn must be one flag repeated per hidden layer "
+                             f"({spec.n_hidden}), got {d['use_bn']!r}")
+        return spec
 
 
 def mlp(dims, activation: str = RELU, bn: bool = False, bias: bool = False) -> NetworkSpec:
     """Convenience builder; `bn` turns BN on for every hidden layer."""
-    dims = tuple(dims)
-    return NetworkSpec(
-        layer_dims=dims,
-        activation=activation,
-        use_bn=tuple(bn for _ in range(len(dims) - 2)),
-        use_bias=bias,
-    )
+    return NetworkSpec(layer_dims=tuple(dims), activation=activation, has_bn=bn, use_bias=bias)
 
 
 @dataclass
@@ -146,22 +135,13 @@ class NetworkParams:
 class BnState:
     """Running statistics for eval-mode BN; updated by train-mode forwards."""
 
-    means: list[np.ndarray | None]
-    variances: list[np.ndarray | None]
+    means: list[np.ndarray]
+    variances: list[np.ndarray]
 
     @staticmethod
     def fresh(spec: NetworkSpec) -> "BnState":
-        means: list[np.ndarray | None] = []
-        variances: list[np.ndarray | None] = []
-        for l in range(spec.n_hidden):
-            if spec.use_bn[l]:
-                width = spec.layer_dims[l + 1]
-                means.append(np.zeros(width))
-                variances.append(np.ones(width))
-            else:
-                means.append(None)
-                variances.append(None)
-        return BnState(means=means, variances=variances)
+        widths = spec.layer_dims[1:-1]
+        return BnState(means=[np.zeros(w) for w in widths], variances=[np.ones(w) for w in widths])
 
     def update(self, layer: int, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         self.means[layer] = BN_DECAY * self.means[layer] + (1 - BN_DECAY) * batch_mean
@@ -234,10 +214,8 @@ def forward(
         raise DomainError(f"mode must be 'train' or 'eval', got {mode!r}")
     check_params(spec, params)
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.shape[1] != spec.input_dim:
-        raise ShapeError(f"input has {a.shape[1]} columns, spec wants {spec.input_dim}")
+    if a.ndim != 2 or a.shape[1] != spec.input_dim:
+        raise ShapeError(f"input has shape {a.shape}, spec wants (n, {spec.input_dim})")
     n = a.shape[0]
     if mode == "train" and spec.has_bn and n < 2:
         raise DegenerateError("train-mode BN needs a batch of at least 2 examples")
@@ -466,7 +444,7 @@ def save_checkpoint(path, spec: NetworkSpec, params: NetworkParams, bn_state: Bn
         raise ContractError("a batch-norm net's checkpoint needs its running statistics")
     theta = flatten_params(spec, params)
     stats = [] if bn_state is None else [
-        v for m, var in zip(bn_state.means, bn_state.variances) if m is not None for v in (m, var)]
+        v for m, var in zip(bn_state.means, bn_state.variances) for v in (m, var)]
     header = {
         "format": "binary",
         "spec": spec.to_dict(),
@@ -505,7 +483,7 @@ def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, BnState | None, i
         spec = NetworkSpec.from_dict(header["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"checkpoint: header key 'spec' is malformed: {exc!r}") from exc
-    expected = 2 * sum(spec.layer_dims[l + 1] for l in range(spec.n_hidden) if spec.use_bn[l])
+    expected = 2 * sum(spec.layer_dims[1:-1]) if spec.has_bn else 0
     count, bn_count = header["count"], header.get("bn_count")
     for key, value, want in (("count", count, spec.n_params), ("bn_count", bn_count, expected)):
         if value not in (None, want):
@@ -524,8 +502,7 @@ def load_checkpoint(path) -> tuple[NetworkSpec, NetworkParams, BnState | None, i
         bn_state = BnState.fresh(spec)
         off = count
         for l, m in enumerate(bn_state.means):
-            if m is not None:
-                bn_state.means[l] = values[off : off + m.size]
-                bn_state.variances[l] = values[off + m.size : off + 2 * m.size]
-                off += 2 * m.size
+            bn_state.means[l] = values[off : off + m.size]
+            bn_state.variances[l] = values[off + m.size : off + 2 * m.size]
+            off += 2 * m.size
     return spec, params, bn_state, header["seed"], header["epoch"]

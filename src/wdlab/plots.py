@@ -20,11 +20,6 @@ except Exception:  # pragma: no cover - depends on the install
     _HAVE_MPL = False
 
 
-def available() -> bool:
-    """True when matplotlib could be imported."""
-    return _HAVE_MPL
-
-
 def line_plot(path, series, title="", xlabel="epoch", ylabel="", logy=False):
     """Write an SVG with one line per ``label -> values`` entry in `series`.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvature, data, diagnostics, loss, nn, optim
-from .errors import DegenerateError
+from .errors import DegenerateError, DomainError
 
 RESAMPLE_TRIES = 80
 
@@ -399,6 +399,8 @@ def run_all(seed: int = 0, trials: int = 100, only: str | None = None) -> list[C
     from the master seed."""
     if only is not None and only not in CHECKS:
         raise DegenerateError(f"unknown check {only!r}; known: {sorted(CHECKS)}")
+    if trials < 1 or seed < 0:
+        raise DomainError(f"need trials >= 1 and seed >= 0, got trials={trials} seed={seed}")
     child_seeds = np.random.SeedSequence(seed).generate_state(len(CHECKS))
     reports = []
     for (name, fn), child in zip(CHECKS.items(), child_seeds):

@@ -90,6 +90,11 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("model.dims=6,8,20", "20 classes"),
     ("run.schedule=-1", "schedule"),
     ("run.schedule=24,12", "schedule"),
+    ("optimizer.eta=nan", "eta must be finite"),
+    ("optimizer.eta=inf", "eta must be finite"),
+    ("coupling.beta=nan", "beta must be finite"),
+    ("optimizer.lam=nan", "lam must be finite"),
+    ("run.seed=-1", "seed must be nonnegative"),
 ])
 def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, override, message):
     out_dir = tmp_path / "run"
@@ -187,6 +192,16 @@ def test_verify_only_runs_one_check(capsys):
     assert "gn_norm_identities" in out
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"], ["--seed", "-1"]])
+def test_verify_refuses_no_trials_or_a_negative_seed(tmp_path, capsys, flags):
+    report_path = tmp_path / "oracles.json"
+    assert cli.main(["verify", *flags, "--json", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    assert "need trials >= 1 and seed >= 0" in captured.err
+    assert "PASS" not in captured.out
+    assert not report_path.exists()
+
+
 def test_verify_failure_sets_exit_status(monkeypatch, capsys):
     failing = CheckReport(name="gn_norm_identities", trials=2,
                           max_rel_error=1.0, tolerance=1e-8, seed=0)
@@ -237,11 +252,13 @@ def test_replicate_failure_sets_exit_status(tmp_path, monkeypatch):
 
 
 def test_diag_command_reads_checkpoint(tmp_path, capsys):
-    ini = write_ini(tmp_path, tiny_config(tmp_path / "run"))
+    out_dir = tmp_path / "run%1"  # INI values are read and written without interpolation
+    ini = write_ini(tmp_path, tiny_config(out_dir))
     assert cli.main(["train", "--config", str(ini)]) == 0
+    assert config.load_config(out_dir / "config.ini").out_dir == str(out_dir)
     capsys.readouterr()
     json_path = tmp_path / "diag.json"
-    code = cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin"),
+    code = cli.main(["diag", str(out_dir / "checkpoint.bin"),
                      "--json", str(json_path)])
     out = capsys.readouterr().out
     assert code == 0

@@ -24,7 +24,8 @@ def test_network_spec_and_coupling_construction():
     )
     spec = cfg.network_spec()
     assert spec.layer_dims == (10, 8, 4)
-    assert spec.use_bn == (True,)
+    assert spec.has_bn
+    assert not config.ExperimentConfig(layer_dims=(10, 4), batchnorm=True).network_spec().has_bn
     coupling = cfg.coupling_obj()
     assert coupling.mode == optim.COUPLING_WD
     assert coupling.layer_mask(2) == (True, False)

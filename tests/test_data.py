@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import data, nn
+from wdlab import data
 from wdlab.errors import DataFormatError, DegenerateError, DomainError, ShapeError
 
 
@@ -191,14 +191,6 @@ def test_gen_synthetic_whitening_mode():
 def test_gen_synthetic_whitening_needs_enough_samples():
     with pytest.raises(DegenerateError):
         data.gen_synthetic(5, 8, 3, seed=0, whiten_inputs=True)
-
-
-def test_gen_synthetic_custom_teacher_shape_check():
-    teacher = nn.mlp([4, 8, 3], activation="relu", bias=False)
-    ds = data.gen_synthetic(500, 4, 3, teacher=teacher, seed=3)
-    assert ds.x.shape[1] == 4 and ds.n_classes == 3
-    with pytest.raises(ShapeError):
-        data.gen_synthetic(100, 5, 3, teacher=teacher, seed=3)
 
 
 def test_gen_synthetic_validates_sizes():

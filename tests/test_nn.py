@@ -63,7 +63,7 @@ def test_forward_identity_net_is_matrix_chain():
 
 
 def test_forward_relu_and_bias():
-    spec = nn.NetworkSpec((2, 2, 1), activation=nn.RELU, use_bn=(False,), use_bias=True)
+    spec = nn.NetworkSpec((2, 2, 1), activation=nn.RELU, use_bias=True)
     params = nn.NetworkParams(
         weights=[np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])],
         biases=[np.array([0.0, -1.0]), np.array([0.5])],
@@ -91,6 +91,8 @@ def test_forward_validates_input_and_mode():
     params = nn.init_params(spec, rng)
     with pytest.raises(ShapeError):
         nn.forward(spec, params, np.zeros((5, 3)))
+    with pytest.raises(ShapeError):
+        nn.forward(spec, params, np.zeros(4))
     with pytest.raises(DomainError):
         nn.forward(spec, params, np.zeros((5, 4)), mode="test")
     bn_spec = nn.mlp((4, 3, 2), bn=True)
@@ -153,7 +155,7 @@ def test_batchnorm_scale_invariance_under_layer_rescaling():
 @pytest.mark.parametrize("activation,bias", [(nn.IDENTITY, False), (nn.IDENTITY, True), (nn.RELU, False), (nn.RELU, True)])
 def test_backward_matches_finite_differences(activation, bias):
     rng = np.random.default_rng(6)
-    spec = nn.NetworkSpec((4, 6, 5, 3), activation=activation, use_bn=(False, False), use_bias=bias)
+    spec = nn.NetworkSpec((4, 6, 5, 3), activation=activation, use_bias=bias)
     params = nn.init_params(spec, rng)
     if bias:
         for b in params.biases:
@@ -272,7 +274,7 @@ def test_input_jacobian_rejects_coupled_train_mode_bn():
 
 def test_param_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
-    spec = nn.NetworkSpec((3, 5, 4, 2), use_bn=(True, False), use_bias=False)
+    spec = nn.NetworkSpec((3, 5, 4, 2), has_bn=True, use_bias=False)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(3, 3)) * 2
     _, trace = nn.forward(spec, params, x, mode="eval")
@@ -293,7 +295,7 @@ def test_param_jacobian_through_train_mode_bn_matches_finite_differences():
     # each (example, output) row includes the example's effect on the batch
     # statistics; with biases the trailing bias blocks are checked too
     rng = np.random.default_rng(14)
-    spec = nn.NetworkSpec((3, 5, 4, 2), use_bn=(True, True), use_bias=True)
+    spec = nn.NetworkSpec((3, 5, 4, 2), has_bn=True, use_bias=True)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(4, 3)) * 2
     _, trace = nn.forward(spec, params, x, mode="train")
@@ -321,7 +323,7 @@ def test_param_jacobian_respects_capacity_cap():
 
 def test_flatten_unflatten_round_trip():
     rng = np.random.default_rng(15)
-    spec = nn.NetworkSpec((3, 4, 2), use_bn=(False,), use_bias=True)
+    spec = nn.NetworkSpec((3, 4, 2), use_bias=True)
     params = nn.init_params(spec, rng)
     params.biases[0][:] = [1.0, 2.0, 3.0, 4.0]
     theta = nn.flatten_params(spec, params)
@@ -334,7 +336,7 @@ def test_flatten_unflatten_round_trip():
 
 
 def test_flatten_order_is_rowmajor_weights_then_bias():
-    spec = nn.NetworkSpec((2, 2, 1), use_bn=(False,), use_bias=True)
+    spec = nn.NetworkSpec((2, 2, 1), use_bias=True)
     params = nn.NetworkParams(
         weights=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[7.0, 8.0]])],
         biases=[np.array([5.0, 6.0]), np.array([9.0])],
@@ -343,7 +345,7 @@ def test_flatten_order_is_rowmajor_weights_then_bias():
 
 
 def test_layer_slices_partition_theta():
-    spec = nn.NetworkSpec((3, 5, 4, 2), use_bn=(False, False), use_bias=True)
+    spec = nn.NetworkSpec((3, 5, 4, 2), use_bias=True)
     slices = nn.layer_slices(spec)
     assert slices[0].start == 0
     assert slices[-1].stop == spec.n_params
@@ -360,7 +362,7 @@ def test_layer_slices_partition_theta():
 )
 def test_flatten_round_trip_property(seed, dims, bias):
     rng = np.random.default_rng(seed)
-    spec = nn.NetworkSpec(tuple(dims), use_bn=tuple(False for _ in dims[1:-1]), use_bias=bias)
+    spec = nn.NetworkSpec(tuple(dims), use_bias=bias)
     params = nn.init_params(spec, rng)
     theta = nn.flatten_params(spec, params)
     again = nn.flatten_params(spec, nn.unflatten_params(spec, theta))
@@ -403,7 +405,7 @@ def test_init_params_is_seed_deterministic_and_shaped():
 @pytest.mark.parametrize("fmt", ["binary"])
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, fmt):
     rng = np.random.default_rng(16)
-    spec = nn.NetworkSpec((4, 6, 5, 3), use_bn=(True, False), use_bias=False)
+    spec = nn.NetworkSpec((4, 6, 5, 3), has_bn=True, use_bias=False)
     params = nn.init_params(spec, rng)
     state = nn.BnState.fresh(spec)
     nn.forward(spec, params, rng.normal(size=(8, 4)), mode="train", bn_state=state)
@@ -414,9 +416,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, fmt):
     assert (seed, epoch) == (123, 7)
     for w1, w2 in zip(params.weights, params2.weights):
         assert np.array_equal(w1, w2)
-    assert np.array_equal(state2.means[0], state.means[0])
-    assert np.array_equal(state2.variances[0], state.variances[0])
-    assert state2.means[1] is None and state2.variances[1] is None
+    for v1, v2 in zip(state.means + state.variances, state2.means + state2.variances):
+        assert np.array_equal(v1, v2)
     # older checkpoints also carry the weight shapes in their header, and
     # hold no BN statistics: those load without them
     head, payload = path.read_bytes().split(b"\n", 1)
@@ -476,6 +477,7 @@ def test_checkpoint_reports_corruption_with_offsets(tmp_path):
         ({k: v for k, v in header.items() if k != "seed"}, "'seed'"),
         ({**header, "epoch": 2.5}, "'epoch'"),
         ({**header, "bn_count": 4}, "'bn_count'"),
+        ({**header, "spec": {**header["spec"], "use_bn": [True, False]}}, "'spec'"),
     ]
     for doc, message in bad_headers:
         malformed = tmp_path / "malformed.bin"

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from wdlab import plots, replicate
+from wdlab import replicate
 
 from helpers import load_metrics
 
@@ -64,8 +64,8 @@ def test_m1_transfer_arm_tracks_decayed_norms(m1_single_seed):
     assert not np.allclose(wn_norms[1:, 2], wd_norms[1:, 2], rtol=1e-3)
 
 
-@pytest.mark.skipif(not plots.available(), reason="matplotlib not installed")
 def test_m1_emits_svg_plots(m1_single_seed):
+    pytest.importorskip("matplotlib")
     root, _ = m1_single_seed
     for name in ("hidden_norms.svg", "effective_lr.svg"):
         text = (root / name).read_text()

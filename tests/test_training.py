@@ -59,10 +59,10 @@ def test_beta_zero_l2_equals_none(tmp_path):
 
 def test_separable_data_reaches_full_train_accuracy(tmp_path):
     # argmax of a linear teacher is separable for a linear student
-    teacher = nn.mlp([4, 3], activation="identity", bias=False)
-    ds = data.make_splits(
-        data.gen_synthetic(150, 4, 3, teacher=teacher, seed=2), 90, 30, 30, seed=2
-    )
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(150, 4))
+    y = np.argmax(x @ rng.normal(0.0, 0.5, size=(3, 4)).T, axis=1)
+    ds = data.make_splits(data.Dataset(x=x, y=y, n_classes=3), 90, 30, 30, seed=2)
     cfg = tiny_config(
         tmp_path,
         layer_dims=(4, 3),
