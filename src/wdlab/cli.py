@@ -15,8 +15,14 @@ from . import diagnostics, errors, nn, replicate, training, verify
 _USER_ERRORS = (
     errors.ShapeError, errors.DomainError, errors.CapacityError,
     errors.DegenerateError, errors.ContractError, errors.DataFormatError,
-    errors.InstabilityError, errors.NumericalError,
+    errors.InstabilityError, errors.NumericalError, FileNotFoundError,
 )
+
+
+def _strict_json(payload):
+    """`payload` as JSON data with every NaN or infinity replaced by None,
+    which strict JSON writes as null."""
+    return json.loads(json.dumps(payload), parse_constant=lambda _: None)
 
 
 def _base_config(args) -> config_mod.ExperimentConfig:
@@ -86,7 +92,7 @@ def _cmd_verify(args) -> int:
         print(f"{flag} {rep.name}: max rel err {rep.max_rel_error:.3g} "
               f"(tol {rep.tolerance:g}, {rep.trials} trials)")
     if args.json:
-        payload = [rep.to_dict() for rep in reports]
+        payload = _strict_json([rep.to_dict() for rep in reports])
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -129,7 +135,7 @@ def _cmd_diag(args) -> int:
     payload = dataclasses.asdict(record)
     payload["checkpoint"] = str(ckpt)
     payload["seed"] = seed
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_strict_json(payload), indent=2)
     if args.json:
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -63,7 +63,19 @@ def dense_curvature(
     x,
     loss_kind: str = loss.CROSS_ENTROPY,
 ) -> np.ndarray:
-    """Dense P x P curvature over the canonical flattening, batch-averaged.
+    """Dense P x P curvature over the canonical flattening, batch-averaged:
+    `curvature_from_jacobians` of the exact per-example Jacobians."""
+    return curvature_from_jacobians(kind, *per_example_param_jacobians(spec, params, x), loss_kind)
+
+
+def curvature_from_jacobians(
+    kind: str,
+    logits: np.ndarray,
+    jac: np.ndarray,
+    loss_kind: str = loss.CROSS_ENTROPY,
+) -> np.ndarray:
+    """Dense P x P curvature from a batch's logits (n x k) and per-example
+    Jacobians (n x k x P), as `per_example_param_jacobians` returns them.
 
     gauss_newton:    E[J^T J]
     generalized_gn:  E[J^T H J] with H the output-layer loss Hessian
@@ -75,7 +87,6 @@ def dense_curvature(
         raise DomainError(f"unknown curvature kind {kind!r}")
     if loss_kind not in loss.LOSS_KINDS:
         raise DomainError(f"unknown loss kind {loss_kind!r}")
-    logits, jac = per_example_param_jacobians(spec, params, x)
     n, k, p_count = jac.shape
 
     if kind == GAUSS_NEWTON:

@@ -17,6 +17,8 @@ from . import curvature, data, diagnostics, loss, nn, optim
 from .errors import DegenerateError, DomainError
 
 RESAMPLE_TRIES = 80
+# a control slope within this distance of 2 would pass for second order
+CONTROL_SLOPE_GAP = 0.5
 
 
 @dataclass
@@ -164,7 +166,8 @@ def check_whitened_jacobian(trials: int = 100, seed: int = 0) -> CheckReport:
 
 def check_equivalences(trials: int = 100, seed: int = 0) -> CheckReport:
     """Exact Fisher = generalized GN under cross-entropy; Gaussian Fisher =
-    GN under squared error; one-class cross-entropy degenerates to zero."""
+    GN under squared error; one-class cross-entropy degenerates to zero.
+    Plain GN must differ from the cross-entropy Fisher."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
@@ -172,18 +175,20 @@ def check_equivalences(trials: int = 100, seed: int = 0) -> CheckReport:
         spec = nn.mlp(dims, activation="relu", bias=False)
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(4, spec.input_dim))
-        fisher_ce = curvature.dense_curvature(
-            curvature.FISHER_EXACT, spec, params, x, loss_kind=loss.CROSS_ENTROPY
+        logits, jac = curvature.per_example_param_jacobians(spec, params, x)
+        fisher_ce, ggn_ce, fisher_se, gn = (
+            curvature.curvature_from_jacobians(kind, logits, jac, loss_kind)
+            for kind, loss_kind in (
+                (curvature.FISHER_EXACT, loss.CROSS_ENTROPY),
+                (curvature.GENERALIZED_GN, loss.CROSS_ENTROPY),
+                (curvature.FISHER_EXACT, loss.SQUARED_ERROR),
+                (curvature.GAUSS_NEWTON, loss.CROSS_ENTROPY),
+            )
         )
-        ggn_ce = curvature.dense_curvature(
-            curvature.GENERALIZED_GN, spec, params, x, loss_kind=loss.CROSS_ENTROPY
-        )
-        worst = max(worst, _rel(fisher_ce, ggn_ce))
-        fisher_se = curvature.dense_curvature(
-            curvature.FISHER_EXACT, spec, params, x, loss_kind=loss.SQUARED_ERROR
-        )
-        gn = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
-        worst = max(worst, _rel(fisher_se, gn))
+        worst = max(worst, _rel(fisher_ce, ggn_ce), _rel(fisher_se, gn))
+        # control; a net dead on every input has J = 0, and every block is 0
+        if np.any(gn) and _rel(gn, fisher_ce) <= 1e-3:
+            worst = float("inf")
         if trial % 10 == 0:
             one = nn.mlp([dims[0], 3, 1], activation="relu", bias=False)
             one_params = nn.init_params(one, rng)
@@ -233,9 +238,12 @@ def _layer_block(spec, params, x, kind):
     return dense[sl, sl]
 
 
-def _normalized_step_discrepancy(spec, params, x, y, eta, lam):
-    """One-step residuals of the two normalized-direction formulas on layer 0
-    of a BN net: (plain gradient, damped natural gradient)."""
+def _normalized_step_discrepancy(spec, params, x, y, etas, lam):
+    """One-step residuals, one per eta, of the two normalized-direction
+    formulas on layer 0 of a BN net: (plain gradient, damped natural
+    gradient, and the plain-gradient control that drops the 1/||w||^2
+    factor).  Everything but the step itself is independent of eta and is
+    computed once."""
     w0 = params.weights[0]
     norm = float(np.linalg.norm(w0))
     theta_hat = (w0 / norm).ravel()
@@ -251,23 +259,34 @@ def _normalized_step_discrepancy(spec, params, x, y, eta, lam):
     s_grads_s, _ = nn.vjp(spec, scaled, trace_s, dz_s)
     g_hat = (s_grads_s[0].T @ trace_s.layer_inputs[0]).ravel()
 
-    actual = (w0 - eta * g0).ravel()
-    actual = actual / np.linalg.norm(actual)
-    ref = optim.reference_normalized_sgd_step(theta_hat, norm, g_hat, eta)
-    d_sgd = float(np.linalg.norm(actual - ref))
-
     block = _layer_block(spec, params, x, curvature.GAUSS_NEWTON)
     damped = np.linalg.solve(block + lam * np.eye(block.shape[0]), g0.ravel())
-    actual_ng = (w0.ravel() - eta * damped) / np.linalg.norm(w0.ravel() - eta * damped)
     block_hat = _layer_block(spec, scaled, x, curvature.GAUSS_NEWTON)
-    ref_ng = optim.reference_normalized_kfac_step(theta_hat, norm, block_hat, lam, g_hat, eta)
-    d_ng = float(np.linalg.norm(actual_ng - ref_ng))
-    return d_sgd, d_ng
+
+    d_sgd, d_ng, d_control = [], [], []
+    for eta in etas:
+        actual = (w0 - eta * g0).ravel()
+        actual = actual / np.linalg.norm(actual)
+        ref = optim.reference_normalized_sgd_step(theta_hat, norm, g_hat, eta)
+        d_sgd.append(float(np.linalg.norm(actual - ref)))
+        ref_control = optim.reference_normalized_sgd_step(theta_hat, 1.0, g_hat, eta)
+        d_control.append(float(np.linalg.norm(actual - ref_control)))
+
+        actual_ng = (w0.ravel() - eta * damped) / np.linalg.norm(w0.ravel() - eta * damped)
+        ref_ng = optim.reference_normalized_kfac_step(theta_hat, norm, block_hat, lam, g_hat, eta)
+        d_ng.append(float(np.linalg.norm(actual_ng - ref_ng)))
+    return d_sgd, d_ng, d_control
+
+
+def _slope(etas, series) -> float:
+    return float(np.polyfit(np.log(etas), np.log(series), 1)[0])
 
 
 def check_update_rules(trials: int = 100, seed: int = 0) -> CheckReport:
     """The one-step error of both normalized-direction update formulas shrinks
-    quadratically in eta: fitted log-log slope within 0.2 of 2."""
+    quadratically in eta: fitted log-log slope within 0.2 of 2.  Dropping
+    the 1/||w||^2 factor leaves a first-order error, whose slope (near 1)
+    must sit far from 2."""
     rng = np.random.default_rng(seed)
     etas = np.array([1e-2, 5e-3, 2.5e-3])
     worst = 0.0
@@ -276,29 +295,31 @@ def check_update_rules(trials: int = 100, seed: int = 0) -> CheckReport:
         params = nn.init_params(spec, rng)
         x = 4.0 * rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
-        d_sgd, d_ng = zip(
-            *(_normalized_step_discrepancy(spec, params, x, y, eta, 1e-2) for eta in etas)
-        )
+        d_sgd, d_ng, d_control = _normalized_step_discrepancy(spec, params, x, y, etas, 1e-2)
         if min(d_sgd) < 1e-13 or min(d_ng) < 1e-13:
             continue  # residual at the noise floor; slope is meaningless
         for series in (d_sgd, d_ng):
-            slope = np.polyfit(np.log(etas), np.log(series), 1)[0]
-            worst = max(worst, abs(float(slope) - 2.0))
+            worst = max(worst, abs(_slope(etas, series) - 2.0))
+        if abs(_slope(etas, d_control) - 2.0) <= CONTROL_SLOPE_GAP:
+            worst = float("inf")
     return _report("normalized_update_rules", trials, worst, 0.2, seed)
 
 
 def check_curvature_scaling(trials: int = 100, seed: int = 0) -> CheckReport:
     """Rescaling a BN-covered layer by alpha scales its curvature block by
-    1/alpha^2, for exact Fisher and GN."""
+    1/alpha^2, for exact Fisher and GN; the output layer's block must not
+    scale so."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     alpha = 2.0
+    spec = nn.mlp([3, 5, 4, 2], activation="relu", bn=True, bias=False)
+    slices = nn.layer_slices(spec)
+    first, last = slices[0], slices[-1]
     for _ in range(trials):
         # every BN unit needs variance headroom over the epsilon for the
         # identity to be exact; a single near-zero weight row breaks that,
         # so resample until the smallest unit variance clears a floor
         for _ in range(RESAMPLE_TRIES):
-            spec = nn.mlp([3, 5, 4, 2], activation="relu", bn=True, bias=False)
             params = nn.init_params(spec, rng)
             params.weights[1] = params.weights[1] * 20.0
             x = 60.0 * rng.normal(size=(8, 3))
@@ -308,10 +329,15 @@ def check_curvature_scaling(trials: int = 100, seed: int = 0) -> CheckReport:
         else:
             raise DegenerateError("could not sample BN units with variance headroom")
         scaled = nn.scale_layer(params, 0, alpha)
+        base_jac = curvature.per_example_param_jacobians(spec, params, x)
+        moved_jac = curvature.per_example_param_jacobians(spec, scaled, x)
         for kind in (curvature.FISHER_EXACT, curvature.GAUSS_NEWTON):
-            base = _layer_block(spec, params, x, kind)
-            moved = _layer_block(spec, scaled, x, kind)
-            worst = max(worst, _rel(moved, base / alpha**2))
+            base = curvature.curvature_from_jacobians(kind, *base_jac)
+            moved = curvature.curvature_from_jacobians(kind, *moved_jac)
+            worst = max(worst, _rel(moved[first, first], base[first, first] / alpha**2))
+            # control: the output layer, which BN does not cover, keeps its block
+            if _rel(moved[last, last], base[last, last] / alpha**2) <= 1e-3:
+                worst = float("inf")
     return _report("curvature_block_scaling", trials, worst, 1e-8, seed)
 
 

@@ -337,6 +337,47 @@ def test_diag_rejects_a_malformed_checkpoint_header(tmp_path, capsys):
     assert "error: checkpoint: header key 'spec'" in capsys.readouterr().err
 
 
+def _strict_loads(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_writes_non_finite_floats_as_null(tmp_path, monkeypatch, capsys):
+    # a BN run has no gn_norm (NaN), and a failed control reports inf
+    cfg = tiny_config(tmp_path / "run", batchnorm=True)
+    assert cli.main(["train", "--config", str(write_ini(tmp_path, cfg))]) == 0
+    capsys.readouterr()
+    diag_path = tmp_path / "diag.json"
+    assert cli.main(["diag", str(tmp_path / "run" / "checkpoint.bin"),
+                     "--json", str(diag_path)]) == 0
+    payload = _strict_loads(diag_path.read_text())
+    assert payload["gn_norm"] is None
+    assert _strict_loads(capsys.readouterr().out) == payload
+
+    failing = CheckReport(name="fisher_gn_equivalences", trials=2,
+                          max_rel_error=float("inf"), tolerance=1e-9, seed=0)
+    monkeypatch.setattr(cli.verify, "run_all", lambda **kw: [failing])
+    report_path = tmp_path / "oracles.json"
+    assert cli.main(["verify", "--trials", "2", "--json", str(report_path)]) == 1
+    [entry] = _strict_loads(report_path.read_text())
+    assert entry["max_rel_error"] is None
+    assert entry["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "MISSING.ini", "--out", "run"],
+    ["diag", "MISSING.bin", "--json", "diag.json"],
+], ids=["train", "diag"])
+def test_a_missing_input_file_fails_before_writing_anything(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MISSING" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_readme_cli_synopsis_matches_the_parser():
     # every flag on a README synopsis line is the parser's and vice versa,
     # and each line's required arguments parse

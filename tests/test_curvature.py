@@ -128,6 +128,24 @@ def test_dense_curvature_validation():
         )
 
 
+@pytest.mark.parametrize("bn", [False, True], ids=["plain", "bn"])
+def test_curvature_from_jacobians_is_dense_curvature(bn):
+    rng = np.random.default_rng(30)
+    spec = nn.mlp((3, 5, 4), bn=bn)
+    params = nn.init_params(spec, rng)
+    x = rng.normal(size=(6, 3)) * 3
+    logits, jac = curvature.per_example_param_jacobians(spec, params, x)
+    for kind in curvature.CURVATURE_KINDS:
+        for loss_kind in loss.LOSS_KINDS:
+            want = curvature.dense_curvature(kind, spec, params, x, loss_kind=loss_kind)
+            got = curvature.curvature_from_jacobians(kind, logits, jac, loss_kind)
+            assert np.array_equal(got, want), (kind, loss_kind)
+    with pytest.raises(DomainError):
+        curvature.curvature_from_jacobians("hessian", logits, jac)
+    with pytest.raises(DomainError):
+        curvature.curvature_from_jacobians(curvature.FISHER_EXACT, logits, jac, "hinge")
+
+
 def test_per_example_jacobians_through_bn_match_finite_differences():
     # with train-mode BN each example's Jacobian includes its effect on the
     # batch statistics; check every (example, output) row against FD

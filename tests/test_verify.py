@@ -1,6 +1,6 @@
 import pytest
 
-from wdlab import nn, verify
+from wdlab import curvature, loss, nn, optim, verify
 from wdlab.errors import DegenerateError
 
 TRIALS = 25  # the acceptance gate runs the full 100; keep unit tests brisk
@@ -78,3 +78,65 @@ def test_corrupted_curvature_fails_scaling_check(monkeypatch):
     monkeypatch.setattr(nn, "scale_layer", biased)
     report = verify.check_curvature_scaling(trials=5, seed=0)
     assert not report.passed
+
+
+@pytest.mark.parametrize("name, per_trial, per_tenth_trial", [
+    ("normalized_update_rules", 2, 0),
+    ("fisher_gn_equivalences", 1, 1),  # plus the degenerate one-class net
+    ("curvature_block_scaling", 2, 0),
+])
+def test_checks_build_each_jacobian_once(monkeypatch, name, per_trial, per_tenth_trial):
+    true_jacobians = curvature.per_example_param_jacobians
+    calls = []
+
+    def counted(spec, params, x):
+        calls.append(None)
+        return true_jacobians(spec, params, x)
+
+    monkeypatch.setattr(curvature, "per_example_param_jacobians", counted)
+    report = verify.CHECKS[name](trials=10, seed=4)
+    assert report.passed
+    assert len(calls) == 10 * per_trial + per_tenth_trial
+
+
+def test_equivalence_control_flags_a_fisher_equal_to_gn(monkeypatch):
+    true_reduce = curvature.curvature_from_jacobians
+
+    def gn_everywhere(kind, logits, jac, loss_kind=loss.CROSS_ENTROPY):
+        return true_reduce(curvature.GAUSS_NEWTON, logits, jac, loss_kind)
+
+    monkeypatch.setattr(curvature, "curvature_from_jacobians", gn_everywhere)
+    assert verify.check_equivalences(trials=3, seed=0).max_rel_error == float("inf")
+
+
+def test_update_rule_control_flags_a_kept_norm_factor(monkeypatch):
+    # a control that still divides by ||w||^2 is second order and undetected
+    true_step = optim.reference_normalized_sgd_step
+    norms = []
+
+    def keeps_norm(theta_hat, norm_l, grad, eta):
+        if norm_l != 1.0:
+            norms.append(norm_l)
+        return true_step(theta_hat, norms[-1], grad, eta)
+
+    monkeypatch.setattr(optim, "reference_normalized_sgd_step", keeps_norm)
+    assert verify.check_update_rules(trials=3, seed=0).max_rel_error == float("inf")
+
+
+def test_scaling_control_flags_an_output_block_that_scales(monkeypatch):
+    # every second Jacobian is the rescaled net's; shrinking its output-layer
+    # columns by alpha makes that block scale as 1/alpha^2 too
+    true_jacobians = curvature.per_example_param_jacobians
+    out = nn.layer_slices(nn.mlp([3, 5, 4, 2], activation="relu", bn=True, bias=False))[-1]
+    calls = []
+
+    def shrunk(spec, params, x):
+        logits, jac = true_jacobians(spec, params, x)
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            jac = jac.copy()
+            jac[..., out] /= 2.0
+        return logits, jac
+
+    monkeypatch.setattr(curvature, "per_example_param_jacobians", shrunk)
+    assert verify.check_curvature_scaling(trials=3, seed=0).max_rel_error == float("inf")
