@@ -324,11 +324,11 @@ def normalized_traces(
     x,
     layer: int,
 ) -> tuple[float, float]:
-    """(gn, fisher) traces of the layer's curvature block at normalized weights.
+    """(gn, fisher) traces of the layer's curvature block, scaled by ||theta_l||^2.
 
-    Each is ||theta_l||^2 * tr(C_ll) at the current weights, which equals
-    the trace at theta_l / ||theta_l|| by the inverse-square scaling of
-    curvature under layer rescaling — no re-evaluation at rescaled weights.
+    Each is ||theta_l||^2 * tr(C_ll) at the current weights.  On a BN-covered
+    layer that is the trace at theta_l / ||theta_l||, by the inverse-square
+    scaling of its curvature under rescaling; on any other layer it is not.
     gn seeds each output c; the exact Fisher's seeds e_c - p backpropagate
     to ds_c - ds_p, so the softmax p joins the same stack as one more seed.
     BN networks are differentiated in train mode, each example seeded on its

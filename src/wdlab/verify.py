@@ -10,6 +10,7 @@ near-epsilon BN variances) are resampled, never silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,14 +45,27 @@ class CheckReport:
         }
 
 
-def _report(name, trials, max_err, tol, seed) -> CheckReport:
-    return CheckReport(
-        name=name,
-        trials=trials,
-        max_rel_error=float(max_err),
-        tolerance=tol,
-        seed=int(seed),
-    )
+# name -> check(trials=100, seed=0), in definition order; run_all derives
+# each check's seed from its position, so reordering re-seeds the suite
+CHECKS: dict[str, Callable[..., CheckReport]] = {}
+
+
+def _check(name: str, tolerance: float):
+    """Register a check body under `name`.  The body maps (trials, rng) to
+    its worst error; the registered callable keeps the body's name and
+    docstring and returns the CheckReport."""
+
+    def register(body):
+        def check(trials: int = 100, seed: int = 0) -> CheckReport:
+            worst = body(trials, np.random.default_rng(seed))
+            return CheckReport(name, trials, float(worst), tolerance, int(seed))
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        CHECKS[name] = check
+        return check
+
+    return register
 
 
 def _rel(got, want) -> float:
@@ -68,39 +82,52 @@ def _random_dims(rng, max_depth=4, lo=2, hi=16):
     return [int(rng.integers(lo, hi + 1)) for _ in range(n_layers + 1)]
 
 
-def _generic_relu_net(rng, dims, n, margin=1e-6):
-    """A ReLU net and inputs whose pre-activations all sit away from the
-    kink.  Both net and inputs are redrawn together: a mostly-dead narrow
-    layer can defeat any number of input redraws on its own."""
+def _bias_free_net(rng, dims, n, activation="relu", margin=1e-6):
+    """A bias-free net and n inputs.  A ReLU net is redrawn until some logit
+    is nonzero (a dead net has J = 0, so every identity holds trivially)
+    and every pre-activation sits at least `margin` from the kink.  Net and
+    inputs are redrawn together: a mostly-dead narrow layer can defeat any
+    number of input redraws on its own."""
     for _ in range(RESAMPLE_TRIES):
-        spec = nn.mlp(dims, activation="relu", bias=False)
+        spec = nn.mlp(dims, activation=activation, bias=False)
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(n, spec.input_dim))
-        _, trace = nn.forward(spec, params, x, mode="eval")
-        if all(np.abs(s).min() >= margin for s in trace.pre_activations):
+        if activation == "identity":
             return spec, params, x
-    raise DegenerateError("could not sample a net with inputs away from activation kinks")
+        logits, trace = nn.forward(spec, params, x, mode="eval")
+        if np.any(logits) and all(np.abs(s).min() >= margin for s in trace.pre_activations):
+            return spec, params, x
+    raise DegenerateError("could not sample a live ReLU net with inputs away from its kinks")
+
+
+def _bn_net(rng, spec, n, gain, x_scale):
+    """Params, inputs and train-mode logits of a BN net whose layer 1 is
+    amplified by `gain`.  Net and inputs are redrawn together until every BN
+    unit's batch std is at least 10: the scale identities are exact only
+    with headroom over the BN epsilon, even after an alpha = 0.5 rescale
+    quarters a variance, and a single near-zero weight row removes it."""
+    for _ in range(RESAMPLE_TRIES):
+        params = nn.init_params(spec, rng)
+        params.weights[1] = params.weights[1] * gain
+        x = x_scale * rng.normal(size=(n, spec.input_dim))
+        logits, trace = nn.forward(spec, params, x, mode="train")
+        if min(float(s.min()) for s in trace.bn_stds) >= 10.0:
+            return params, x, logits
+    raise DegenerateError("could not sample BN units with variance headroom")
 
 
 # --- individual checks ------------------------------------------------------
 
 
-def check_homogeneity(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("homogeneity_identities", 1e-9)
+def check_homogeneity(trials, rng):
     """Outputs of bias-free homogeneous nets against both Jacobian
     contractions: f = J_x x and f = J_theta theta / (L+1)."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         dims = _random_dims(rng)
-        if trial % 4 == 3:
-            spec = nn.mlp(dims, activation="identity", bias=False)
-            params = nn.init_params(spec, rng)
-            x = rng.normal(size=(2, spec.input_dim))
-        else:
-            spec, params, x = _generic_relu_net(rng, dims, 2)
+        spec, params, x = _bias_free_net(rng, dims, 2, "identity" if trial % 4 == 3 else "relu")
         logits, trace = nn.forward(spec, params, x, mode="eval")
-        if np.linalg.norm(logits) < 1e-9:
-            continue
         theta = nn.flatten_params(spec, params)
         depth_plus_one = spec.n_layers
         jx = nn.input_jacobian(spec, params, trace)
@@ -108,24 +135,18 @@ def check_homogeneity(trials: int = 100, seed: int = 0) -> CheckReport:
         for i, row in enumerate(x):
             worst = max(worst, _rel(jx[i] @ row, logits[i]))
             worst = max(worst, _rel(jt[i] @ theta / depth_plus_one, logits[i]))
-    return _report("homogeneity_identities", trials, worst, 1e-9, seed)
+    return worst
 
 
-def check_gn_norm_identities(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("gn_norm_identities", 1e-8)
+def check_gn_norm_identities(trials, rng):
     """theta' G theta = (L+1)^2 E||f||^2 and the layerwise block norm
     = (L+1) E||f||^2 on bias-free ReLU and linear nets, both against dense
     quadratic forms; so (L+1) times the block norm gives theta' G theta."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         dims = _random_dims(rng, max_depth=3, lo=2, hi=8)
-        n = 6
-        if trial % 2 == 0:
-            spec, params, x = _generic_relu_net(rng, dims, n)
-        else:
-            spec = nn.mlp(dims, activation="identity", bias=False)
-            params = nn.init_params(spec, rng)
-            x = rng.normal(size=(n, spec.input_dim))
+        spec, params, x = _bias_free_net(rng, dims, 6, "relu" if trial % 2 == 0 else "identity")
         theta = nn.flatten_params(spec, params)
         dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
         quad = float(theta @ dense @ theta)
@@ -137,44 +158,38 @@ def check_gn_norm_identities(trials: int = 100, seed: int = 0) -> CheckReport:
         _, block = diagnostics.probe_norms(spec, params, x)
         worst = max(worst, _rel(gnn, quad), _rel(block, block_quad),
                     _rel(spec.n_layers * block, gnn))
-    return _report("gn_norm_identities", trials, worst, 1e-8, seed)
+    return worst
 
 
-def check_whitened_jacobian(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("whitened_jacobian_norm", 1e-8)
+def check_whitened_jacobian(trials, rng):
     """On linear nets with whitened batches the layerwise block norm equals
     (L+1) times the mean squared input Jacobian; an un-whitened control must
     break the identity."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         dims = _random_dims(rng, max_depth=3, lo=2, hi=6)
-        spec = nn.mlp(dims, activation="identity", bias=False)
-        params = nn.init_params(spec, rng)
-        d = spec.input_dim
-        x = data.whiten(rng.normal(size=(3 * d + 5, d)))
-        jac, block = diagnostics.probe_norms(spec, params, x)
+        spec, params, x = _bias_free_net(rng, dims, 3 * dims[0] + 5, "identity")
+        jac, block = diagnostics.probe_norms(spec, params, data.whiten(x))
         worst = max(worst, _rel(block, spec.n_layers * jac))
     # negative control: anisotropic inputs must violate the identity
-    spec = nn.mlp([3, 4, 2], activation="identity", bias=False)
-    params = nn.init_params(spec, rng)
-    x = rng.normal(size=(30, 3)) * np.array([1.0, 4.0, 0.25])
-    jac, block = diagnostics.probe_norms(spec, params, x)
+    spec, params, x = _bias_free_net(rng, [3, 4, 2], 30, "identity")
+    jac, block = diagnostics.probe_norms(spec, params, x * np.array([1.0, 4.0, 0.25]))
     if _rel(block, spec.n_layers * jac) <= 1e-3:
         worst = float("inf")
-    return _report("whitened_jacobian_norm", trials, worst, 1e-8, seed)
+    return worst
 
 
-def check_equivalences(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("fisher_gn_equivalences", 1e-9)
+def check_equivalences(trials, rng):
     """Exact Fisher = generalized GN under cross-entropy; Gaussian Fisher =
     GN under squared error; one-class cross-entropy degenerates to zero.
     Plain GN must differ from the cross-entropy Fisher."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         dims = _random_dims(rng, max_depth=2, lo=2, hi=6)
-        spec = nn.mlp(dims, activation="relu", bias=False)
-        params = nn.init_params(spec, rng)
-        x = rng.normal(size=(4, spec.input_dim))
+        # the identities need no kink margin, only a live net
+        spec, params, x = _bias_free_net(rng, dims, 4, margin=0.0)
         logits, jac = curvature.per_example_param_jacobians(spec, params, x)
         fisher_ce, ggn_ce, fisher_se, gn = (
             curvature.curvature_from_jacobians(kind, logits, jac, loss_kind)
@@ -186,8 +201,7 @@ def check_equivalences(trials: int = 100, seed: int = 0) -> CheckReport:
             )
         )
         worst = max(worst, _rel(fisher_ce, ggn_ce), _rel(fisher_se, gn))
-        # control; a net dead on every input has J = 0, and every block is 0
-        if np.any(gn) and _rel(gn, fisher_ce) <= 1e-3:
+        if _rel(gn, fisher_ce) <= 1e-3:  # control
             worst = float("inf")
         if trial % 10 == 0:
             one = nn.mlp([dims[0], 3, 1], activation="relu", bias=False)
@@ -196,28 +210,18 @@ def check_equivalences(trials: int = 100, seed: int = 0) -> CheckReport:
                 curvature.FISHER_EXACT, one, one_params, x, loss_kind=loss.CROSS_ENTROPY
             )
             worst = max(worst, float(np.linalg.norm(degenerate)))
-    return _report("fisher_gn_equivalences", trials, worst, 1e-9, seed)
+    return worst
 
 
-def check_bn_scale_invariance(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("bn_scale_invariance", 1e-9)
+def check_bn_scale_invariance(trials, rng):
     """Rescaling any BN-covered layer leaves train-mode outputs unchanged;
     rescaling the uncovered output layer must change them."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         dims = [int(rng.integers(4, 9)) for _ in range(4)]
         spec = nn.mlp(dims, activation="relu", bn=True, bias=False)
-        # redraw net and inputs until every BN-covered batch variance is far
-        # above the BN epsilon, even after the alpha=0.5 rescale quarters it
-        for _ in range(RESAMPLE_TRIES):
-            params = nn.init_params(spec, rng)
-            params.weights[1] = params.weights[1] * 40.0
-            x = 40.0 * rng.normal(size=(12, spec.input_dim))
-            base, trace = nn.forward(spec, params, x, mode="train")
-            if min(s.var(axis=0).min() for s in trace.pre_activations[:-1]) >= 100.0:
-                break
-        else:
-            raise DegenerateError("could not sample a BN net with batch variances >= 100")
+        params, x, base = _bn_net(rng, spec, 12, gain=40.0, x_scale=40.0)
         denom = float(np.linalg.norm(base))
         for layer in (0, 1):
             for alpha in (0.5, 2.0, 10.0):
@@ -228,14 +232,7 @@ def check_bn_scale_invariance(trials: int = 100, seed: int = 0) -> CheckReport:
         control, _ = nn.forward(spec, nn.scale_layer(params, 2, 2.0), x, mode="train")
         if float(np.linalg.norm(control - base)) / denom <= 1e-3:
             worst = float("inf")
-    return _report("bn_scale_invariance", trials, worst, 1e-9, seed)
-
-
-def _layer_block(spec, params, x, kind):
-    """Dense curvature block of layer 0 in train mode."""
-    dense = curvature.dense_curvature(kind, spec, params, x)
-    sl = nn.layer_slices(spec)[0]
-    return dense[sl, sl]
+    return worst
 
 
 def _normalized_step_discrepancy(spec, params, x, y, etas, lam):
@@ -243,25 +240,24 @@ def _normalized_step_discrepancy(spec, params, x, y, etas, lam):
     formulas on layer 0 of a BN net: (plain gradient, damped natural
     gradient, and the plain-gradient control that drops the 1/||w||^2
     factor).  Everything but the step itself is independent of eta and is
-    computed once."""
+    computed once, from one train-mode forward per net."""
+    first = nn.layer_slices(spec)[0]
+
+    def gradient_and_block(p):
+        logits, trace = nn.forward(spec, p, x, mode="train")
+        _, dz = loss.loss_and_grad(logits, y)
+        s_grads, _ = nn.vjp(spec, p, trace, dz)
+        jac = nn.param_jacobian(spec, p, trace)[:, :, first]
+        return (s_grads[0].T @ trace.layer_inputs[0],
+                curvature.curvature_from_jacobians(curvature.GAUSS_NEWTON, logits, jac))
+
     w0 = params.weights[0]
     norm = float(np.linalg.norm(w0))
     theta_hat = (w0 / norm).ravel()
-
-    logits, trace = nn.forward(spec, params, x, mode="train")
-    _, dz = loss.loss_and_grad(logits, y)
-    s_grads, _ = nn.vjp(spec, params, trace, dz)
-    g0 = s_grads[0].T @ trace.layer_inputs[0]
-
-    scaled = nn.scale_layer(params, 0, 1.0 / norm)
-    logits_s, trace_s = nn.forward(spec, scaled, x, mode="train")
-    _, dz_s = loss.loss_and_grad(logits_s, y)
-    s_grads_s, _ = nn.vjp(spec, scaled, trace_s, dz_s)
-    g_hat = (s_grads_s[0].T @ trace_s.layer_inputs[0]).ravel()
-
-    block = _layer_block(spec, params, x, curvature.GAUSS_NEWTON)
+    g0, block = gradient_and_block(params)
+    g_hat, block_hat = gradient_and_block(nn.scale_layer(params, 0, 1.0 / norm))
+    g_hat = g_hat.ravel()
     damped = np.linalg.solve(block + lam * np.eye(block.shape[0]), g0.ravel())
-    block_hat = _layer_block(spec, scaled, x, curvature.GAUSS_NEWTON)
 
     d_sgd, d_ng, d_control = [], [], []
     for eta in etas:
@@ -282,12 +278,12 @@ def _slope(etas, series) -> float:
     return float(np.polyfit(np.log(etas), np.log(series), 1)[0])
 
 
-def check_update_rules(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("normalized_update_rules", 0.2)
+def check_update_rules(trials, rng):
     """The one-step error of both normalized-direction update formulas shrinks
     quadratically in eta: fitted log-log slope within 0.2 of 2.  Dropping
     the 1/||w||^2 factor leaves a first-order error, whose slope (near 1)
     must sit far from 2."""
-    rng = np.random.default_rng(seed)
     etas = np.array([1e-2, 5e-3, 2.5e-3])
     worst = 0.0
     for _ in range(trials):
@@ -302,32 +298,21 @@ def check_update_rules(trials: int = 100, seed: int = 0) -> CheckReport:
             worst = max(worst, abs(_slope(etas, series) - 2.0))
         if abs(_slope(etas, d_control) - 2.0) <= CONTROL_SLOPE_GAP:
             worst = float("inf")
-    return _report("normalized_update_rules", trials, worst, 0.2, seed)
+    return worst
 
 
-def check_curvature_scaling(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("curvature_block_scaling", 1e-8)
+def check_curvature_scaling(trials, rng):
     """Rescaling a BN-covered layer by alpha scales its curvature block by
     1/alpha^2, for exact Fisher and GN; the output layer's block must not
     scale so."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     alpha = 2.0
     spec = nn.mlp([3, 5, 4, 2], activation="relu", bn=True, bias=False)
     slices = nn.layer_slices(spec)
     first, last = slices[0], slices[-1]
     for _ in range(trials):
-        # every BN unit needs variance headroom over the epsilon for the
-        # identity to be exact; a single near-zero weight row breaks that,
-        # so resample until the smallest unit variance clears a floor
-        for _ in range(RESAMPLE_TRIES):
-            params = nn.init_params(spec, rng)
-            params.weights[1] = params.weights[1] * 20.0
-            x = 60.0 * rng.normal(size=(8, 3))
-            _, trace = nn.forward(spec, params, x, mode="train")
-            if min(float(s.min()) for s in trace.bn_stds) >= 10.0:
-                break
-        else:
-            raise DegenerateError("could not sample BN units with variance headroom")
+        params, x, _ = _bn_net(rng, spec, 8, gain=20.0, x_scale=60.0)
         scaled = nn.scale_layer(params, 0, alpha)
         base_jac = curvature.per_example_param_jacobians(spec, params, x)
         moved_jac = curvature.per_example_param_jacobians(spec, scaled, x)
@@ -338,23 +323,20 @@ def check_curvature_scaling(trials: int = 100, seed: int = 0) -> CheckReport:
             # control: the output layer, which BN does not cover, keeps its block
             if _rel(moved[last, last], base[last, last] / alpha**2) <= 1e-3:
                 worst = float("inf")
-    return _report("curvature_block_scaling", trials, worst, 1e-8, seed)
+    return worst
 
 
-def check_gn_gradient(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("gn_norm_gradient", 1e-5)
+def check_gn_gradient(trials, rng):
     """Closed-form gradient of the GN norm against central finite
     differences."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     h = 1e-6
     for trial in range(trials):
         dims = _random_dims(rng, max_depth=2, lo=2, hi=5)
-        if trial % 2 == 0:
-            spec, params, x = _generic_relu_net(rng, dims, 5, margin=1e-3)
-        else:
-            spec = nn.mlp(dims, activation="identity", bias=False)
-            params = nn.init_params(spec, rng)
-            x = rng.normal(size=(5, spec.input_dim))
+        spec, params, x = _bias_free_net(
+            rng, dims, 5, "relu" if trial % 2 == 0 else "identity", margin=1e-3
+        )
         grad = curvature.gn_norm_gradient(spec, params, x)
         theta = nn.flatten_params(spec, params)
         fd = np.empty_like(theta)
@@ -366,19 +348,17 @@ def check_gn_gradient(trials: int = 100, seed: int = 0) -> CheckReport:
             down = curvature.gn_norm(spec, nn.unflatten_params(spec, bumped), x)
             fd[i] = (up - down) / (2 * h)
         worst = max(worst, _rel(grad, fd))
-    return _report("gn_norm_gradient", trials, worst, 1e-5, seed)
+    return worst
 
 
-def check_kfac_linear_exactness(trials: int = 100, seed: int = 0) -> CheckReport:
+@_check("kfac_linear_exactness", 1e-8)
+def check_kfac_linear_exactness(trials, rng):
     """Kronecker factors reproduce dense GN blocks exactly on linear nets;
     a ReLU control must not be exact."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         dims = _random_dims(rng, max_depth=3, lo=2, hi=6)
-        spec = nn.mlp(dims, activation="identity", bias=False)
-        params = nn.init_params(spec, rng)
-        x = rng.normal(size=(7, spec.input_dim))
+        spec, params, x = _bias_free_net(rng, dims, 7, "identity")
         _, trace = nn.forward(spec, params, x, mode="train")
         factors = curvature.estimate_kfac_factors("gn", spec, params, trace)
         dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
@@ -402,22 +382,10 @@ def check_kfac_linear_exactness(trials: int = 100, seed: int = 0) -> CheckReport
     control = _rel(np.kron(s_0, a_0), dense[sl, sl])
     if control <= 1e-8:
         worst = float("inf")
-    return _report("kfac_linear_exactness", trials, worst, 1e-8, seed)
+    return worst
 
 
-# --- registry ---------------------------------------------------------------
-
-CHECKS = {
-    "homogeneity_identities": check_homogeneity,
-    "gn_norm_identities": check_gn_norm_identities,
-    "whitened_jacobian_norm": check_whitened_jacobian,
-    "fisher_gn_equivalences": check_equivalences,
-    "bn_scale_invariance": check_bn_scale_invariance,
-    "normalized_update_rules": check_update_rules,
-    "curvature_block_scaling": check_curvature_scaling,
-    "gn_norm_gradient": check_gn_gradient,
-    "kfac_linear_exactness": check_kfac_linear_exactness,
-}
+# --- running the suite ------------------------------------------------------
 
 
 def run_all(seed: int = 0, trials: int = 100, only: str | None = None) -> list[CheckReport]:

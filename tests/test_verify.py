@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from wdlab import curvature, loss, nn, optim, verify
@@ -34,6 +35,33 @@ def test_report_serializes_to_plain_dict():
     assert d["name"] == "homogeneity_identities"
     assert isinstance(d["max_rel_error"], float)
     assert d["passed"] is True
+
+
+def test_registry_keeps_its_order_and_names():
+    # each check's seed follows its position, so a reorder re-seeds the suite
+    assert list(verify.CHECKS) == [
+        "homogeneity_identities", "gn_norm_identities", "whitened_jacobian_norm",
+        "fisher_gn_equivalences", "bn_scale_invariance", "normalized_update_rules",
+        "curvature_block_scaling", "gn_norm_gradient", "kfac_linear_exactness",
+    ]
+    # callers and the benchmark's tracer reach each check by its __name__
+    assert all(getattr(verify, fn.__name__) is fn for fn in verify.CHECKS.values())
+
+
+def test_bias_free_nets_are_never_dead():
+    # a 2-unit ReLU layer is often dead on all 4 inputs; then J = 0
+    def dead(spec, params, x):
+        return not nn.forward(spec, params, x, mode="eval")[0].any()
+
+    first_draws_dead = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        spec = nn.mlp([2, 2, 2], activation="relu", bias=False)
+        params = nn.init_params(spec, rng)
+        first_draws_dead += dead(spec, params, rng.normal(size=(4, 2)))
+        assert not dead(*verify._bias_free_net(np.random.default_rng(seed), [2, 2, 2], 4,
+                                               margin=0.0))
+    assert first_draws_dead > 0
 
 
 def test_run_all_covers_every_check():
@@ -86,14 +114,14 @@ def test_corrupted_curvature_fails_scaling_check(monkeypatch):
     ("curvature_block_scaling", 2, 0),
 ])
 def test_checks_build_each_jacobian_once(monkeypatch, name, per_trial, per_tenth_trial):
-    true_jacobians = curvature.per_example_param_jacobians
+    true_jacobian = nn.param_jacobian
     calls = []
 
-    def counted(spec, params, x):
+    def counted(spec, params, trace):
         calls.append(None)
-        return true_jacobians(spec, params, x)
+        return true_jacobian(spec, params, trace)
 
-    monkeypatch.setattr(curvature, "per_example_param_jacobians", counted)
+    monkeypatch.setattr(nn, "param_jacobian", counted)
     report = verify.CHECKS[name](trials=10, seed=4)
     assert report.passed
     assert len(calls) == 10 * per_trial + per_tenth_trial
