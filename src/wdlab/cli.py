@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from . import diagnostics, errors, nn, replicate, training, verify
+from . import errors, nn, replicate, training, verify
 
 _USER_ERRORS = (
     errors.ShapeError, errors.DomainError, errors.CapacityError,
@@ -126,12 +126,8 @@ def _cmd_diag(args) -> int:
               "evaluating with running mean 0 and variance 1", file=sys.stderr)
     cfg_path = Path(args.config) if args.config else ckpt.parent / "config.ini"
     cfg = config_mod.load_config(cfg_path)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    train, test, probe_x, trace_x = training.measured_inputs(cfg, training.build_dataset(cfg))
-    record = diagnostics.record_metrics(
-        epoch, spec, params, cfg.eta_at(epoch), train, test, bn_state=bn_state,
-        probe_x=probe_x, trace_x=trace_x, trace_layers=tuple(cfg.trace_layers))
+    record = training.record_epoch(cfg, spec, training.build_dataset(cfg), epoch, params,
+                                   bn_state)
     payload = dataclasses.asdict(record)
     payload["checkpoint"] = str(ckpt)
     payload["seed"] = seed
@@ -191,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "warning.")
     p_diag.add_argument("checkpoint", help="path to a checkpoint file")
     p_diag.add_argument("--config", help="config INI (default: beside the checkpoint)")
-    p_diag.add_argument("--seed", type=int, help="override the data seed")
     p_diag.add_argument("--json", help="also write the record as JSON")
     p_diag.set_defaults(fn=_cmd_diag)
     return parser

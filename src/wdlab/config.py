@@ -143,75 +143,71 @@ class ExperimentConfig:
 
 # --- INI serialization ------------------------------------------------------
 
+# section -> key -> ExperimentConfig field; a value is read as its field's type
 _LAYOUT = {
-    "data": (
-        ("dataset", "dataset", str),
-        ("images", "mnist_images", str),
-        ("labels", "mnist_labels", str),
-        ("train", "n_train", int),
-        ("val", "n_val", int),
-        ("test", "n_test", int),
-        ("whiten", "whiten_inputs", bool),
-    ),
-    "model": (
-        ("dims", "layer_dims", "int_list"),
-        ("activation", "activation", str),
-        ("batchnorm", "batchnorm", bool),
-        ("bias", "bias", bool),
-    ),
-    "optimizer": (
-        ("kind", "optimizer", str),
-        ("eta", "eta", float),
-        ("momentum", "momentum", float),
-        ("lam", "lam", float),
-        ("stats_every", "stats_every", int),
-        ("invert_every", "invert_every", int),
-        ("factor_decay", "factor_decay", float),
-    ),
-    "coupling": (
-        ("mode", "coupling", str),
-        ("beta", "beta", float),
-        ("mask", "mask", str),
-    ),
-    "run": (
-        ("epochs", "epochs", int),
-        ("batch", "batch_size", int),
-        ("seed", "seed", int),
-        ("schedule", "schedule", "int_list"),
-        ("out", "out_dir", str),
-    ),
-    "diagnostics": (
-        ("probe", "probe_size", int),
-        ("trace_layers", "trace_layers", "int_list"),
-        ("trace", "trace_size", int),
-    ),
+    "data": {
+        "dataset": "dataset",
+        "images": "mnist_images",
+        "labels": "mnist_labels",
+        "train": "n_train",
+        "val": "n_val",
+        "test": "n_test",
+        "whiten": "whiten_inputs",
+    },
+    "model": {
+        "dims": "layer_dims",
+        "activation": "activation",
+        "batchnorm": "batchnorm",
+        "bias": "bias",
+    },
+    "optimizer": {
+        "kind": "optimizer",
+        "eta": "eta",
+        "momentum": "momentum",
+        "lam": "lam",
+        "stats_every": "stats_every",
+        "invert_every": "invert_every",
+        "factor_decay": "factor_decay",
+    },
+    "coupling": {
+        "mode": "coupling",
+        "beta": "beta",
+        "mask": "mask",
+    },
+    "run": {
+        "epochs": "epochs",
+        "batch": "batch_size",
+        "seed": "seed",
+        "schedule": "schedule",
+        "out": "out_dir",
+    },
+    "diagnostics": {
+        "probe": "probe_size",
+        "trace_layers": "trace_layers",
+        "trace": "trace_size",
+    },
 }
+_FIELDS = {f"{section}.{key}": attr for section, keys in _LAYOUT.items() for key, attr in keys.items()}
+_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}  # annotation strings
 
 _BOOL_WORDS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
-def _parse_value(raw: str, kind):
+def _parse_value(raw: str, kind: str):
     raw = raw.strip()
-    if kind is str:
-        return raw
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is bool:
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
+    if kind == "bool":
+        if raw.lower() not in _BOOL_WORDS:
             raise DataFormatError(f"expected yes/no, got {raw!r}")
-        return _BOOL_WORDS[word]
-    if kind == "int_list":
+        return _BOOL_WORDS[raw.lower()]
+    if kind == "tuple[int, ...]":
         return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    raise AssertionError(kind)
+    return {"str": str, "int": int, "float": float}[kind](raw)
 
 
-def _format_value(value, kind) -> str:
-    if kind is bool:
+def _format_value(value, kind: str) -> str:
+    if kind == "bool":
         return "yes" if value else "no"
-    if kind == "int_list":
+    if kind == "tuple[int, ...]":
         return " ".join(str(v) for v in value)
     return str(value)
 
@@ -224,41 +220,29 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
+    """The defaults with every `section.key = value` of the file applied."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     parser.read_string(text, source=source)
-    return _from_parser(parser, source=source)
-
-
-def _from_parser(parser: configparser.ConfigParser, source: str) -> ExperimentConfig:
-    values = {}
+    items = []
     for section in parser.sections():
-        if section not in _LAYOUT:
-            raise DataFormatError(f"{source}: unknown section [{section}]")
-        known = {key: (attr, kind) for key, attr, kind in _LAYOUT[section]}
         for key, raw in parser.items(section):
-            if section == "optimizer" and key == "damping":  # older files name the one damping
+            if (section, key) == ("optimizer", "damping"):  # older files name the one damping
                 if raw.strip() != "factored":
                     raise DataFormatError(f"{source}: optimizer.damping: dense damping was removed")
                 continue
-            if key not in known:
-                raise DataFormatError(f"{source}: unknown key {key!r} in [{section}]")
-            attr, kind = known[key]
-            try:
-                values[attr] = _parse_value(raw, kind)
-            except (ValueError, DataFormatError) as exc:
-                raise DataFormatError(
-                    f"{source}: bad value for {section}.{key}: {exc}"
-                ) from exc
-    return ExperimentConfig(**values)
+            items.append(f"{section}.{key}={raw}")
+    try:
+        return apply_overrides(ExperimentConfig(), items)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{source}: {exc}") from exc
 
 
 def to_ini(config: ExperimentConfig) -> str:
     """Render a config back to its file form (round-trips through load)."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section, entries in _LAYOUT.items():
-        parser[section] = {}
-        for key, attr, kind in entries:
-            parser[section][key] = _format_value(getattr(config, attr), kind)
+    for section, keys in _LAYOUT.items():
+        parser[section] = {key: _format_value(getattr(config, attr), _TYPES[attr])
+                           for key, attr in keys.items()}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -266,24 +250,17 @@ def to_ini(config: ExperimentConfig) -> str:
 
 def apply_overrides(config: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply `section.key=value` strings on top of an existing config."""
-    values = dataclasses.asdict(config)
-    lookup = {
-        f"{section}.{key}": (attr, kind)
-        for section, entries in _LAYOUT.items()
-        for key, attr, kind in entries
-    }
+    values = {}
     for item in overrides:
         if "=" not in item:
             raise DataFormatError(f"override {item!r} is not of the form section.key=value")
         dotted, raw = item.split("=", 1)
         dotted = dotted.strip()
-        if dotted not in lookup:
+        if dotted not in _FIELDS:
             raise DataFormatError(f"unknown config key {dotted!r}")
-        attr, kind = lookup[dotted]
+        attr = _FIELDS[dotted]
         try:
-            values[attr] = _parse_value(raw, kind)
+            values[attr] = _parse_value(raw, _TYPES[attr])
         except (ValueError, DataFormatError) as exc:
             raise DataFormatError(f"bad value for {dotted}: {exc}") from exc
-    for name in ("layer_dims", "schedule", "trace_layers"):
-        values[name] = tuple(values[name])
-    return ExperimentConfig(**values)
+    return dataclasses.replace(config, **values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,16 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 @dataclass
 class Dataset:
-    """Feature matrix, integer labels, and a three-way split by row index."""
+    """Feature matrix and integer labels, rows in split order: the first
+    n_train rows are the train split, the next n_val validation and the
+    next n_test test."""
 
     x: np.ndarray
     y: np.ndarray
     n_classes: int
-    train_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    val_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    test_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    n_train: int = 0
+    n_val: int = 0
+    n_test: int = 0
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -48,43 +50,27 @@ class Dataset:
                 f"labels must lie in [0, {self.n_classes}), got range "
                 f"[{self.y.min()}, {self.y.max()}]"
             )
-        for name in ("train_idx", "val_idx", "test_idx"):
-            idx = np.asarray(getattr(self, name), dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= self.x.shape[0]):
-                raise DomainError(f"{name} out of range for {self.x.shape[0]} rows")
-            setattr(self, name, idx)
-        combined = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
-        if combined.size != np.unique(combined).size:
-            raise DomainError("train/val/test index sets must be disjoint")
+        sizes = (self.n_train, self.n_val, self.n_test)
+        if min(sizes) < 0 or sum(sizes) > self.n:
+            raise DomainError(f"train/val/test sizes {sizes} do not fit {self.n} rows")
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[name]
-        return self.x[idx], self.y[idx]
+        """The split's rows as views of x and y."""
+        start = {"train": 0, "val": self.n_train, "test": self.n_train + self.n_val}[name]
+        rows = slice(start, start + getattr(self, f"n_{name}"))
+        return self.x[rows], self.y[rows]
 
 
 def make_splits(dataset: Dataset, n_train: int, n_val: int, n_test: int, seed: int) -> Dataset:
-    """Draw disjoint train/val/test index sets of the given sizes."""
-    total = n_train + n_val + n_test
-    if total > dataset.n:
-        raise DomainError(
-            f"requested {total} examples across splits but dataset has {dataset.n}"
-        )
-    for name, size in (("train", n_train), ("val", n_val), ("test", n_test)):
-        if size < 0:
-            raise DomainError(f"{name} size must be nonnegative, got {size}")
-    perm = np.random.default_rng(seed).permutation(dataset.n)
-    return Dataset(
-        x=dataset.x,
-        y=dataset.y,
-        n_classes=dataset.n_classes,
-        train_idx=perm[:n_train],
-        val_idx=perm[n_train : n_train + n_val],
-        test_idx=perm[n_train + n_val : total],
-    )
+    """Keep n_train + n_val + n_test rows drawn by one seeded permutation,
+    in split order."""
+    rows = np.random.default_rng(seed).permutation(dataset.n)[: n_train + n_val + n_test]
+    return Dataset(x=dataset.x[rows], y=dataset.y[rows], n_classes=dataset.n_classes,
+                   n_train=n_train, n_val=n_val, n_test=n_test)
 
 
 # --- MNIST IDX --------------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 SYM_TOL = 1e-10
 
@@ -19,7 +19,7 @@ def _as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ShapeError("matrix has non-finite entries")
+        raise NumericalError("matrix has non-finite entries")
     return a
 
 

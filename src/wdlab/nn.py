@@ -71,10 +71,6 @@ class NetworkSpec:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def bn_at(self, layer: int) -> bool:
         """True when layer `layer`'s pre-activation is batch-normalized."""
         return self.has_bn and layer < self.n_hidden

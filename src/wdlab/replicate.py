@@ -234,8 +234,7 @@ def mechanism2(out_dir, seeds=M2_SEEDS, make_plots=True):
         )
         dataset = training.build_dataset(cfg)
         run = training.train(cfg, dataset=dataset)
-        x_train = dataset.x[dataset.train_idx]
-        jac, gn = diagnostics.probe_norms(run.spec, run.params, x_train)
+        jac, gn = diagnostics.probe_norms(run.spec, run.params, dataset.split("train")[0])
         fit = float(run.final.train_acc)
         all_fit = all_fit and fit == 1.0
         points.append({"width": width, "beta": beta, "seed": seed,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import curvature, data, diagnostics, loss, nn, optim
-from .errors import DomainError, InstabilityError, ShapeError, TrainingDiverged
+from .errors import DomainError, InstabilityError, NumericalError, ShapeError, TrainingDiverged
 
 
 @dataclass
@@ -150,16 +150,19 @@ def _minibatch_pass(spec, params, bn_state, opt_state, coupling, x, y):
     return optim.adam_step(opt_state, params, grads, coupling), value
 
 
-def measured_inputs(cfg, dataset: data.Dataset):
-    """What a run measures at each epoch boundary: (train split, test split or
-    else train, probe rows heading that, trace rows heading train or None)."""
-    x_train, y_train = dataset.split("train")
-    x_test, y_test = dataset.split("test")
-    if x_test.shape[0] == 0:
-        x_test, y_test = x_train, y_train
-    probe_x = x_test[: cfg.probe_size] if cfg.probe_size > 0 else None
-    trace_x = x_train[: cfg.trace_size] if cfg.trace_layers else None
-    return (x_train, y_train), (x_test, y_test), probe_x, trace_x
+def record_epoch(cfg, spec, dataset: data.Dataset, epoch: int, params, bn_state,
+                 log=None) -> diagnostics.MetricRecord:
+    """Measure `params` as the run records epoch `epoch`: on the train split
+    and the test split (else train again), with the probe rows heading that
+    and the trace rows heading train.  `train` and `wdlab diag` both record
+    through here."""
+    train_rows = dataset.split("train")
+    test_rows = dataset.split("test") if dataset.n_test else train_rows
+    return diagnostics.record_metrics(
+        epoch, spec, params, cfg.eta_at(epoch), train_rows, test_rows, bn_state=bn_state,
+        probe_x=test_rows[0][: cfg.probe_size] if cfg.probe_size > 0 else None,
+        trace_x=train_rows[0][: cfg.trace_size] if cfg.trace_layers else None,
+        trace_layers=cfg.trace_layers, log=log)
 
 
 def train(
@@ -177,7 +180,7 @@ def train(
     coupling = cfg.coupling_obj()
     if dataset is None:
         dataset = build_dataset(cfg)
-    (x_train, y_train), (x_test, y_test), probe_x, trace_x = measured_inputs(cfg, dataset)
+    x_train, y_train = dataset.split("train")
     if norm_plan is not None and norm_plan.norms_by_epoch.shape != (
         cfg.epochs + 1,
         spec.n_layers,
@@ -205,38 +208,26 @@ def train(
         fh.write(config_text)
     write_manifest(os.path.join(cfg.out_dir, "manifest.json"), config_text, cfg.seed)
 
-    def record(epoch):
-        return diagnostics.record_metrics(
-            epoch,
-            spec,
-            params,
-            opt_state.eta,
-            (x_train, y_train),
-            (x_test, y_test),
-            bn_state=bn_state,
-            probe_x=probe_x,
-            trace_x=trace_x,
-            trace_layers=cfg.trace_layers,
-            log=log,
-        )
-
-    records = [record(0)]
-    n_train = x_train.shape[0]
+    records = [record_epoch(cfg, spec, dataset, 0, params, bn_state, log)]
     try:
         for epoch in range(1, cfg.epochs + 1):
             opt_state.eta = cfg.eta_at(epoch)
-            perm = np.random.default_rng([cfg.seed, 0x5F, epoch]).permutation(n_train)
-            for start in range(0, n_train, cfg.batch_size):
+            perm = np.random.default_rng([cfg.seed, 0x5F, epoch]).permutation(dataset.n_train)
+            for start in range(0, dataset.n_train, cfg.batch_size):
                 batch = perm[start : start + cfg.batch_size]
                 if spec.has_bn and batch.size < 2:
                     continue  # train-mode BN needs at least two rows
-                params, value = _minibatch_pass(
-                    spec, params, bn_state, opt_state, coupling,
-                    x_train[batch], y_train[batch],
-                )
-                if not np.isfinite(value):
+                try:
+                    params, value = _minibatch_pass(
+                        spec, params, bn_state, opt_state, coupling,
+                        x_train[batch], y_train[batch],
+                    )
+                    failure = None if np.isfinite(value) else f"non-finite loss {value}"
+                except NumericalError as exc:  # a K-FAC step overflowed its gradient or factors
+                    value, failure = None, str(exc)
+                if failure is not None:
                     raise TrainingDiverged(
-                        f"non-finite loss {value} at epoch {epoch}, batch offset {start}",
+                        f"{failure} at epoch {epoch}, batch offset {start}",
                         record={"epoch": epoch, "offset": start, "loss": value,
                                 "eta": opt_state.eta, "beta": coupling.beta},
                     )
@@ -244,7 +235,7 @@ def train(
                 params = diagnostics.norm_transfer(
                     spec, params, norm_plan.norms_by_epoch[epoch], norm_plan.mask
                 )
-            records.append(record(epoch))
+            records.append(record_epoch(cfg, spec, dataset, epoch, params, bn_state, log))
     finally:
         # a diverged K-FAC run keeps the spectra that led up to it
         if isinstance(opt_state, optim.KfacState):
@@ -329,7 +320,7 @@ def grid(
     if not etas or not betas:
         raise DomainError("grid needs at least one eta and one beta")
     dataset = build_dataset(base)
-    if dataset.split("val")[0].shape[0] == 0:
+    if dataset.n_val == 0:
         raise DomainError("grid search needs a nonempty validation split")
     tasks = [_cell_task(base, eta, beta, dataset) for eta in etas for beta in betas]
     if jobs > 1:
@@ -341,13 +332,12 @@ def grid(
     if not trained:
         raise DomainError("every grid cell was rejected or diverged")
     best = min(trained, key=lambda c: (-c.val_accuracy, c.beta, c.eta))
-    # make_splits' permutation depends only on the seed and the row count, so
-    # the retrain's train rows are the cells' train rows, then their val rows
     n_train = base.n_train + base.n_val
     winner_cfg = dataclasses.replace(
         base, eta=best.eta, beta=best.beta, n_train=n_train, n_val=0,
         out_dir=os.path.join(base.out_dir, "best"),
     )
-    merged = data.make_splits(dataset, n_train, 0, base.n_test, seed=base.seed)
+    # in split order: the cells' train rows, then their val rows
+    merged = dataclasses.replace(dataset, n_train=n_train, n_val=0)
     final = train(winner_cfg, dataset=merged)
     return GridResult(cells=cells, best=best, final=final)

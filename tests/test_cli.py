@@ -61,6 +61,17 @@ def test_train_reports_divergence(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_reports_an_overflowing_kfac_step_as_divergence(tmp_path, capsys):
+    # the preconditioned gradient overflows while the loss is still finite
+    cfg = tiny_config(tmp_path / "run", layer_dims=(6, 5, 5, 3), n_train=40, n_val=8,
+                      n_test=16, epochs=3, optimizer="kfac_gn", eta=1e4, batch_size=8)
+    code = cli.main(["train", "--config", str(write_ini(tmp_path, cfg))])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "diverged" in err and "error:" not in err
+
+
 def test_bad_config_value_is_a_user_error(tmp_path, capsys):
     ini = write_ini(tmp_path, tiny_config(tmp_path / "run"))
     code = cli.main(["train", "--config", str(ini), "--set", "optimizer.kind=magic"])

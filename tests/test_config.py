@@ -186,7 +186,7 @@ def test_readme_ini_block_loads_as_the_defaults():
         elif m := re.match(r"(\w+)\s*=", line):
             named.append((section, m.group(1)))
     layout = [(sec, None) for sec in config._LAYOUT]
-    layout += [(sec, key) for sec, rows in config._LAYOUT.items() for key, _, _ in rows]
+    layout += [(sec, key) for sec, keys in config._LAYOUT.items() for key in keys]
     assert sorted(named, key=str) == sorted(layout, key=str)
 
 
@@ -258,9 +258,9 @@ def test_ini_round_trip():
 
 
 def test_ini_rejects_unknown_section_and_key():
-    with pytest.raises(DataFormatError, match="section"):
+    with pytest.raises(DataFormatError, match="<string>: unknown config key 'mystery.x'"):
         config.parse_config_text("[mystery]\nx = 1\n")
-    with pytest.raises(DataFormatError, match="unknown key"):
+    with pytest.raises(DataFormatError, match="unknown config key 'run.warp'"):
         config.parse_config_text("[run]\nwarp = 9\n")
 
 

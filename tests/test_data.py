@@ -111,34 +111,38 @@ def test_dataset_rejects_mismatched_shapes():
         data.Dataset(x=np.zeros((3, 2)), y=np.array([0, 1]), n_classes=2)
 
 
-def test_dataset_rejects_overlapping_splits():
-    with pytest.raises(DomainError):
-        data.Dataset(
-            x=np.zeros((4, 2)),
-            y=np.zeros(4, dtype=int),
-            n_classes=2,
-            train_idx=np.array([0, 1]),
-            val_idx=np.array([1, 2]),
-        )
+def test_dataset_rejects_sizes_that_do_not_fit():
+    for sizes in (dict(n_train=3, n_val=1, n_test=1), dict(n_train=2, n_val=-1)):
+        with pytest.raises(DomainError, match="do not fit 4 rows"):
+            data.Dataset(x=np.zeros((4, 2)), y=np.zeros(4, dtype=int), n_classes=2, **sizes)
+
+
+def _numbered(n):
+    """A dataset whose row i is (i, i) with label i % 2."""
+    return data.Dataset(x=np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1),
+                        y=np.arange(n) % 2, n_classes=2)
 
 
 def test_make_splits_sizes_and_disjointness():
-    ds = data.Dataset(x=np.zeros((100, 3)), y=np.zeros(100, dtype=int), n_classes=2)
-    split = data.make_splits(ds, 60, 20, 10, seed=7)
-    assert split.train_idx.size == 60
-    assert split.val_idx.size == 20
-    assert split.test_idx.size == 10
-    combined = np.concatenate([split.train_idx, split.val_idx, split.test_idx])
-    assert np.unique(combined).size == 90
+    split = data.make_splits(_numbered(100), 60, 20, 10, seed=7)
+    assert (split.n_train, split.n_val, split.n_test) == (60, 20, 10)
+    # only the drawn rows are kept, each once
+    assert split.n == 90
+    assert np.unique(split.x[:, 0]).size == 90
+    npt.assert_array_equal(split.y, split.x[:, 0].astype(int) % 2)
+    rows = [split.split(name)[0][:, 0] for name in ("train", "val", "test")]
+    assert [r.size for r in rows] == [60, 20, 10]
+    npt.assert_array_equal(np.concatenate(rows), split.x[:, 0])
 
 
 def test_make_splits_deterministic_per_seed():
-    ds = data.Dataset(x=np.zeros((50, 2)), y=np.zeros(50, dtype=int), n_classes=2)
+    ds = _numbered(50)
     a = data.make_splits(ds, 30, 10, 10, seed=3)
     b = data.make_splits(ds, 30, 10, 10, seed=3)
-    npt.assert_array_equal(a.train_idx, b.train_idx)
+    npt.assert_array_equal(a.x, b.x)
+    npt.assert_array_equal(a.y, b.y)
     c = data.make_splits(ds, 30, 10, 10, seed=4)
-    assert not np.array_equal(a.train_idx, c.train_idx)
+    assert not np.array_equal(a.split("train")[0], c.split("train")[0])
 
 
 def test_make_splits_rejects_oversubscription():
@@ -149,17 +153,17 @@ def test_make_splits_rejects_oversubscription():
 
 def test_split_views_select_rows():
     x = np.arange(12, dtype=float).reshape(6, 2)
-    ds = data.Dataset(
-        x=x,
-        y=np.array([0, 1, 0, 1, 0, 1]),
-        n_classes=2,
-        train_idx=np.array([0, 2]),
-        test_idx=np.array([5]),
-    )
+    ds = data.Dataset(x=x, y=np.array([0, 1, 0, 1, 0, 1]), n_classes=2, n_train=2, n_test=3)
     xt, yt = ds.split("train")
-    npt.assert_array_equal(xt, x[[0, 2]])
-    npt.assert_array_equal(yt, [0, 0])
-    assert ds.split("test")[0].shape == (1, 2)
+    npt.assert_array_equal(xt, x[:2])
+    npt.assert_array_equal(yt, [0, 1])
+    assert ds.split("val")[0].shape == (0, 2)
+    npt.assert_array_equal(ds.split("test")[0], x[2:5])
+    # views, so measuring a split copies no rows
+    for name in ("train", "val", "test"):
+        xs, ys = ds.split(name)
+        assert np.shares_memory(xs, ds.x) or xs.size == 0
+        assert np.shares_memory(ys, ds.y) or ys.size == 0
 
 
 # --- synthetic generation ---------------------------------------------------

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from helpers import kron_precondition
 from wdlab import linalg
-from wdlab.errors import DomainError, ShapeError
+from wdlab.errors import DomainError, NumericalError, ShapeError
 
 
 def random_psd(rng, n, rank=None):
@@ -51,7 +51,7 @@ def test_sym_eig_rejects_bad_input():
         linalg.sym_eig(np.arange(6.0).reshape(2, 3))
     with pytest.raises(ShapeError):
         linalg.sym_eig([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ShapeError):
+    with pytest.raises(NumericalError):
         linalg.sym_eig([[np.nan, 0.0], [0.0, 1.0]])
 
 

@@ -54,8 +54,8 @@ def ref_jacobian_norm(spec, params, x, bn_state=None):
     total = 0.0
     for row in x:
         _, trace = nn.forward(spec, params, row[None, :], mode="eval", bn_state=bn_state)
-        for c in range(spec.output_dim):
-            _, xg = nn.vjp(spec, params, trace, one_hot(1, spec.output_dim, 0, c), inputs=True)
+        for c in range(spec.layer_dims[-1]):
+            _, xg = nn.vjp(spec, params, trace, one_hot(1, spec.layer_dims[-1], 0, c), inputs=True)
             total += float(np.sum(xg * xg))
     return total / x.shape[0]
 
@@ -252,7 +252,7 @@ def test_jacobian_norm_makes_one_backward_per_chunk(monkeypatch):
     monkeypatch.setattr(nn, "SEED_ROWS", 150)  # 3 seeds of 50 rows per chunk
     diagnostics.probe_norms(spec, params, x)
     assert forwards == [x.shape]
-    assert len(calls) == len(nn.seed_chunks(spec.output_dim, 50)) == 2
+    assert len(calls) == len(nn.seed_chunks(spec.layer_dims[-1], 50)) == 2
     assert [s[:2] for s in calls] == [(3, 50), (1, 50)]  # not one backward per seed
 
 
@@ -261,7 +261,7 @@ def test_normalized_traces_share_one_forward_and_one_seed_stack(net, monkeypatch
     # the softmax joins the one-hot seeds as one more seed (one per example
     # under BN) instead of the Fisher trace running its own forward and seeds
     spec, params, x = small_net(7, **net)
-    n, k = x.shape[0], spec.output_dim
+    n, k = x.shape[0], spec.layer_dims[-1]
     forwards, seeds = [], []
     true_forward, true_vjp = nn.forward, nn.vjp
 

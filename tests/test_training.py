@@ -120,6 +120,25 @@ def test_divergence_aborts_with_diagnostic_record(tmp_path):
     assert not np.isfinite(record["loss"])
 
 
+OVERFLOWING_KFAC = dict(layer_dims=(6, 5, 5, 3), n_train=40, n_val=8, n_test=16, epochs=3,
+                        seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("overrides, message", [
+    (dict(optimizer="kfac_gn", eta=1e4, batch_size=8), "preconditioned gradient is not finite"),
+    # a K-FAC factor overflows, and its inversion refuses it, before the loss does
+    (dict(optimizer="kfac_fisher", activation="identity", batch_size=9, schedule=(1,),
+          stats_every=2, invert_every=3), "matrix has non-finite entries"),
+], ids=["gradient", "factor"])
+def test_an_overflowing_kfac_step_is_divergence(tmp_path, overrides, message):
+    cfg = tiny_config(tmp_path, **OVERFLOWING_KFAC, **overrides)
+    with pytest.raises(TrainingDiverged, match=message) as exc_info:
+        training.train(cfg)
+    assert exc_info.value.record["epoch"] >= 1
+    assert exc_info.value.record["loss"] is None  # the step did not finish
+
+
 def test_schedule_drops_recorded_effective_lr(tmp_path):
     cfg = tiny_config(tmp_path, epochs=3, schedule=(1,), eta=0.2)
     result = training.train(cfg)
@@ -365,6 +384,60 @@ def test_grid_builds_its_dataset_once(tmp_path, monkeypatch):
         assert cell_csv.read_bytes() == Path(alone.metrics_path).read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_grid_marks_an_overflowing_kfac_cell_diverged(tmp_path):
+    cfg = tiny_config(tmp_path, **OVERFLOWING_KFAC, optimizer="kfac_gn", batch_size=8)
+    result = training.grid(cfg, etas=[0.01, 1e4], betas=[0.0])
+    by_eta = {c.eta: c for c in result.cells}
+    assert by_eta[1e4].status == "diverged"
+    assert "preconditioned gradient is not finite" in by_eta[1e4].detail
+    assert by_eta[0.01].status == "trained" and result.best.eta == 0.01
+
+
+def test_grid_retrain_trains_on_the_cells_train_then_val_rows(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, epochs=1)
+    datasets = []
+    real = training.train
+
+    def spying(cfg, dataset=None, norm_plan=None):
+        datasets.append(dataset)
+        return real(cfg, dataset=dataset, norm_plan=norm_plan)
+
+    monkeypatch.setattr(training, "train", spying)
+    result = training.grid(cfg, etas=[0.1, 0.05], betas=[0.0])
+    *cells, retrain = datasets
+    assert len(cells) == 2 and cells[0] is cells[1]
+    for i in (0, 1):  # features, then labels
+        npt.assert_array_equal(retrain.split("train")[i], np.concatenate(
+            [cells[0].split("train")[i], cells[0].split("val")[i]]))
+        npt.assert_array_equal(retrain.split("test")[i], cells[0].split("test")[i])
+    assert retrain.n_val == 0
+    # the rows `diag` rebuilds from the retrain's config.ini
+    rebuilt = training.build_dataset(config.load_config(Path(result.final.out_dir) / "config.ini"))
+    assert (rebuilt.n_train, rebuilt.n_val, rebuilt.n_test) == (150, 0, 30)
+    npt.assert_array_equal(rebuilt.x, retrain.x)
+
+
+def test_records_measure_views_of_the_dataset(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, epochs=1, trace_layers=(0,), trace_size=8)
+    dataset = training.build_dataset(cfg)
+    measured = []
+    real = diagnostics.record_metrics
+
+    def spying(*args, **kwargs):
+        measured.append([*args[4], *args[5], kwargs["probe_x"], kwargs["trace_x"]])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "record_metrics", spying)
+    training.train(cfg, dataset=dataset)
+    assert len(measured) == 2
+    for x_train, y_train, x_test, y_test, probe_x, trace_x in measured:
+        for rows in (x_train, x_test, probe_x, trace_x):
+            assert np.shares_memory(rows, dataset.x)
+        for labels in (y_train, y_test):
+            assert np.shares_memory(labels, dataset.y)
+
+
 def test_grid_refuses_an_empty_validation_split_before_training(tmp_path):
     cfg = tiny_config(tmp_path, n_val=0)
     with pytest.raises(DomainError, match="validation"):
@@ -406,6 +479,6 @@ def test_grid_parallel_jobs_match_serial(tmp_path):
 def test_build_dataset_synthetic_split_sizes(tmp_path):
     cfg = tiny_config(tmp_path)
     ds = training.build_dataset(cfg)
-    assert ds.train_idx.size == 120
-    assert ds.val_idx.size == 30
-    assert ds.test_idx.size == 30
+    assert (ds.n_train, ds.n_val, ds.n_test) == (120, 30, 30)
+    assert ds.n == 180  # only the drawn rows are kept
+    assert [ds.split(name)[0].shape[0] for name in ("train", "val", "test")] == [120, 30, 30]
