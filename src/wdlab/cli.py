@@ -51,7 +51,7 @@ def _cmd_train(args) -> int:
     try:
         result = training.train(cfg)
     except training.TrainingDiverged as exc:
-        print(f"diverged: {exc.record}", file=sys.stderr)
+        print(f"diverged: {exc} {exc.record}", file=sys.stderr)
         return 1
     final = result.final
     print(f"wrote {result.metrics_path}")

@@ -103,7 +103,9 @@ def _parse_idx_images(blob: bytes, path) -> np.ndarray:
             f"(expected {need} bytes for {count} images of {rows}x{cols})"
         )
     pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    x = pixels.reshape(count, rows * cols).astype(np.float64)
+    x /= 255.0  # in place, so one float copy is held without relying on temporary elision
+    return x
 
 
 def _parse_idx_labels(blob: bytes, path) -> np.ndarray:

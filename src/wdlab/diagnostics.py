@@ -103,8 +103,14 @@ def evaluate(
     labels,
     bn_state: nn.BnState | None = None,
 ) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) on integer-labelled data, eval-mode BN."""
-    logits, _ = nn.forward(spec, params, x, mode="eval", bn_state=bn_state)
+    """(mean cross-entropy, accuracy) on integer-labelled data, eval-mode BN.
+
+    The rows are forwarded in near-equal blocks of at most nn.SEED_ROWS, and
+    only each block's logits are kept, so no whole-split trace is held.  Eval
+    mode treats every row on its own, so the logits are one forward's."""
+    blocks = np.array_split(x, max(1, -(-len(x) // nn.SEED_ROWS)))
+    logits = np.concatenate(
+        [nn.forward(spec, params, b, mode="eval", bn_state=bn_state)[0] for b in blocks])
     value, _ = loss.loss_and_grad(logits, labels)
     return value, float(np.mean(np.argmax(logits, axis=1) == labels))
 

@@ -30,8 +30,9 @@ IDENTITY = "identity"
 BN_EPSILON = 1e-8  # added to the batch variance; BN has no affine parameters
 BN_DECAY = 0.9  # running statistics <- BN_DECAY * running + (1 - BN_DECAY) * batch
 
-# The most (seed, example) rows one stacked backward carries, which bounds its
-# temporaries; a desk-net BN trace (32 rows, 10 classes) runs one example at a time.
+# The most (seed, example) rows one stacked backward carries, and the most rows
+# one evaluation forward carries, which bounds their temporaries; a desk-net BN
+# trace (32 rows, 10 classes) runs one example at a time.
 SEED_ROWS = 512
 
 # The most parameters a dense per-example Jacobian (n x k x P) may span.

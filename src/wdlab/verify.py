@@ -83,20 +83,22 @@ def _random_dims(rng, max_depth=4, lo=2, hi=16):
 
 
 def _bias_free_net(rng, dims, n, activation="relu", margin=1e-6):
-    """A bias-free net and n inputs.  A ReLU net is redrawn until some logit
-    is nonzero (a dead net has J = 0, so every identity holds trivially)
-    and every pre-activation sits at least `margin` from the kink.  Net and
-    inputs are redrawn together: a mostly-dead narrow layer can defeat any
-    number of input redraws on its own."""
+    """A bias-free net, n inputs and, for ReLU, the eval-mode trace that
+    accepted them (None for identity nets, which are never forwarded here).
+    A ReLU net is redrawn until some logit is nonzero (a dead net has J = 0,
+    so every identity holds trivially) and every pre-activation sits at least
+    `margin` from the kink.  Net and inputs are redrawn together: a
+    mostly-dead narrow layer can defeat any number of input redraws on its
+    own."""
     for _ in range(RESAMPLE_TRIES):
         spec = nn.mlp(dims, activation=activation, bias=False)
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(n, spec.input_dim))
         if activation == "identity":
-            return spec, params, x
+            return spec, params, x, None
         logits, trace = nn.forward(spec, params, x, mode="eval")
         if np.any(logits) and all(np.abs(s).min() >= margin for s in trace.pre_activations):
-            return spec, params, x
+            return spec, params, x, trace
     raise DegenerateError("could not sample a live ReLU net with inputs away from its kinks")
 
 
@@ -126,8 +128,11 @@ def check_homogeneity(trials, rng):
     worst = 0.0
     for trial in range(trials):
         dims = _random_dims(rng)
-        spec, params, x = _bias_free_net(rng, dims, 2, "identity" if trial % 4 == 3 else "relu")
-        logits, trace = nn.forward(spec, params, x, mode="eval")
+        spec, params, x, trace = _bias_free_net(
+            rng, dims, 2, "identity" if trial % 4 == 3 else "relu")
+        if trace is None:
+            _, trace = nn.forward(spec, params, x, mode="eval")
+        logits = trace.logits
         theta = nn.flatten_params(spec, params)
         depth_plus_one = spec.n_layers
         jx = nn.input_jacobian(spec, params, trace)
@@ -146,7 +151,7 @@ def check_gn_norm_identities(trials, rng):
     worst = 0.0
     for trial in range(trials):
         dims = _random_dims(rng, max_depth=3, lo=2, hi=8)
-        spec, params, x = _bias_free_net(rng, dims, 6, "relu" if trial % 2 == 0 else "identity")
+        spec, params, x, _ = _bias_free_net(rng, dims, 6, "relu" if trial % 2 == 0 else "identity")
         theta = nn.flatten_params(spec, params)
         dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)
         quad = float(theta @ dense @ theta)
@@ -169,11 +174,11 @@ def check_whitened_jacobian(trials, rng):
     worst = 0.0
     for _ in range(trials):
         dims = _random_dims(rng, max_depth=3, lo=2, hi=6)
-        spec, params, x = _bias_free_net(rng, dims, 3 * dims[0] + 5, "identity")
+        spec, params, x, _ = _bias_free_net(rng, dims, 3 * dims[0] + 5, "identity")
         jac, block = diagnostics.probe_norms(spec, params, data.whiten(x))
         worst = max(worst, _rel(block, spec.n_layers * jac))
     # negative control: anisotropic inputs must violate the identity
-    spec, params, x = _bias_free_net(rng, [3, 4, 2], 30, "identity")
+    spec, params, x, _ = _bias_free_net(rng, [3, 4, 2], 30, "identity")
     jac, block = diagnostics.probe_norms(spec, params, x * np.array([1.0, 4.0, 0.25]))
     if _rel(block, spec.n_layers * jac) <= 1e-3:
         worst = float("inf")
@@ -189,8 +194,8 @@ def check_equivalences(trials, rng):
     for trial in range(trials):
         dims = _random_dims(rng, max_depth=2, lo=2, hi=6)
         # the identities need no kink margin, only a live net
-        spec, params, x = _bias_free_net(rng, dims, 4, margin=0.0)
-        logits, jac = curvature.per_example_param_jacobians(spec, params, x)
+        spec, params, x, trace = _bias_free_net(rng, dims, 4, margin=0.0)
+        logits, jac = trace.logits, nn.param_jacobian(spec, params, trace)
         fisher_ce, ggn_ce, fisher_se, gn = (
             curvature.curvature_from_jacobians(kind, logits, jac, loss_kind)
             for kind, loss_kind in (
@@ -334,7 +339,7 @@ def check_gn_gradient(trials, rng):
     h = 1e-6
     for trial in range(trials):
         dims = _random_dims(rng, max_depth=2, lo=2, hi=5)
-        spec, params, x = _bias_free_net(
+        spec, params, x, _ = _bias_free_net(
             rng, dims, 5, "relu" if trial % 2 == 0 else "identity", margin=1e-3
         )
         grad = curvature.gn_norm_gradient(spec, params, x)
@@ -358,7 +363,7 @@ def check_kfac_linear_exactness(trials, rng):
     worst = 0.0
     for _ in range(trials):
         dims = _random_dims(rng, max_depth=3, lo=2, hi=6)
-        spec, params, x = _bias_free_net(rng, dims, 7, "identity")
+        spec, params, x, _ = _bias_free_net(rng, dims, 7, "identity")
         _, trace = nn.forward(spec, params, x, mode="train")
         factors = curvature.estimate_kfac_factors("gn", spec, params, trace)
         dense = curvature.dense_curvature(curvature.GAUSS_NEWTON, spec, params, x)

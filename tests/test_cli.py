@@ -70,6 +70,9 @@ def test_train_reports_an_overflowing_kfac_step_as_divergence(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "diverged" in err and "error:" not in err
+    # the message says what diverged, then the record gives where
+    assert "preconditioned gradient is not finite at epoch" in err
+    assert "'epoch':" in err and "'offset':" in err
 
 
 def test_bad_config_value_is_a_user_error(tmp_path, capsys):

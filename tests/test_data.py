@@ -43,7 +43,8 @@ def test_load_mnist_shapes_and_scaling(idx_pair):
     assert ds.x.shape == (5, 784)
     assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0
     npt.assert_array_equal(ds.y, labels)
-    npt.assert_allclose(ds.x[0], images[0].reshape(-1) / 255.0)
+    # scaling in place divides each pixel exactly as raw / 255.0 does
+    npt.assert_array_equal(ds.x, images.reshape(5, -1).astype(np.float64) / 255.0)
 
 
 def test_load_mnist_gzip_detected_by_magic(tmp_path, idx_pair):

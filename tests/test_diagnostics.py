@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wdlab import curvature, diagnostics, nn
+from wdlab import curvature, diagnostics, loss, nn
 from wdlab.errors import ContractError, DegenerateError, DomainError, ShapeError
 
 from helpers import central_diff_jacobian, load_metrics, random_net
@@ -202,6 +202,34 @@ def test_evaluate_accuracy_counts_argmax_matches():
     y = np.array([0, 1, 1, 1])
     _, acc = diagnostics.evaluate(spec, params, x, y)
     assert acc == pytest.approx(0.75)
+
+
+def test_evaluate_forwards_near_equal_blocks_of_at_most_seed_rows(monkeypatch):
+    rng = np.random.default_rng(12)
+    spec, params = random_net(rng, [6, 8, 8, 3], activation="relu", bn=True, bias=True)
+    bn_state = nn.BnState.fresh(spec)
+    nn.forward(spec, params, rng.normal(size=(16, 6)), mode="train", bn_state=bn_state)
+    x = rng.normal(size=(23, 6))
+    y = rng.integers(0, 3, size=23)
+    whole, _ = nn.forward(spec, params, x, mode="eval", bn_state=bn_state)
+    want_loss, _ = loss.loss_and_grad(whole, y)
+    want_acc = float(np.mean(np.argmax(whole, axis=1) == y))
+
+    blocks = []
+    forward = nn.forward
+
+    def counting(spec, params, x, *args, **kwargs):
+        blocks.append(x)
+        return forward(spec, params, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting)
+    monkeypatch.setattr(nn, "SEED_ROWS", 5)
+    got_loss, got_acc = diagnostics.evaluate(spec, params, x, y, bn_state=bn_state)
+    assert [len(b) for b in blocks] == [5, 5, 5, 4, 4]  # ceil(23 / 5) balanced blocks
+    npt.assert_array_equal(np.concatenate(blocks), x)  # every row once, in order
+    # tiny blocks may take other BLAS kernels, so the last bits can move
+    assert got_loss == pytest.approx(want_loss, rel=1e-12)
+    assert got_acc == pytest.approx(want_acc, rel=1e-12)
 
 
 # --- records and the CSV log ------------------------------------------------

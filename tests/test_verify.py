@@ -59,8 +59,12 @@ def test_bias_free_nets_are_never_dead():
         spec = nn.mlp([2, 2, 2], activation="relu", bias=False)
         params = nn.init_params(spec, rng)
         first_draws_dead += dead(spec, params, rng.normal(size=(4, 2)))
-        assert not dead(*verify._bias_free_net(np.random.default_rng(seed), [2, 2, 2], 4,
-                                               margin=0.0))
+        spec, params, x, trace = verify._bias_free_net(np.random.default_rng(seed), [2, 2, 2],
+                                                       4, margin=0.0)
+        assert not dead(spec, params, x)
+        # the returned trace is the accepted draw's eval-mode forward
+        assert trace.mode == "eval"
+        assert np.array_equal(trace.logits, nn.forward(spec, params, x, mode="eval")[0])
     assert first_draws_dead > 0
 
 
