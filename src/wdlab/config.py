@@ -23,43 +23,45 @@ OPTIMIZERS = ("sgd", "adam", "kfac_fisher", "kfac_gn")
 DATASETS = ("synthetic", "mnist")
 
 
+def _ini(key: str, default):
+    """A config field read from and written to the INI key `section.key`."""
+    return dataclasses.field(default=default, metadata={"ini": key})
+
+
 @dataclass
 class ExperimentConfig:
-    # data
-    dataset: str = "synthetic"
-    mnist_images: str = ""
-    mnist_labels: str = ""
-    n_train: int = 5000
-    n_val: int = 1000
-    n_test: int = 2000
-    whiten_inputs: bool = False
-    # model
-    layer_dims: tuple[int, ...] = (784, 256, 256, 10)
-    activation: str = "relu"
-    batchnorm: bool = False
-    bias: bool = False
-    # optimizer
-    optimizer: str = "sgd"
-    eta: float = 0.1
-    momentum: float = 0.0
-    lam: float = 1e-3
-    stats_every: int = 10
-    invert_every: int = 100
-    factor_decay: float = 0.95
-    # coupling
-    coupling: str = optim.COUPLING_NONE
-    beta: float = 0.0
-    mask: str = "all"
-    # run
-    epochs: int = 30
-    batch_size: int = 128
-    seed: int = 0
-    schedule: tuple[int, ...] = (12, 24)
-    out_dir: str = "runs/run0"
-    # diagnostics
-    probe_size: int = 200
-    trace_layers: tuple[int, ...] = ()
-    trace_size: int = 64
+    """Every run setting.  Each field names its INI key, and the file lists
+    sections and keys in field order."""
+
+    dataset: str = _ini("data.dataset", "synthetic")
+    mnist_images: str = _ini("data.images", "")
+    mnist_labels: str = _ini("data.labels", "")
+    n_train: int = _ini("data.train", 5000)
+    n_val: int = _ini("data.val", 1000)
+    n_test: int = _ini("data.test", 2000)
+    whiten_inputs: bool = _ini("data.whiten", False)
+    layer_dims: tuple[int, ...] = _ini("model.dims", (784, 256, 256, 10))
+    activation: str = _ini("model.activation", "relu")
+    batchnorm: bool = _ini("model.batchnorm", False)
+    bias: bool = _ini("model.bias", False)
+    optimizer: str = _ini("optimizer.kind", "sgd")
+    eta: float = _ini("optimizer.eta", 0.1)
+    momentum: float = _ini("optimizer.momentum", 0.0)
+    lam: float = _ini("optimizer.lam", 1e-3)
+    stats_every: int = _ini("optimizer.stats_every", 10)
+    invert_every: int = _ini("optimizer.invert_every", 100)
+    factor_decay: float = _ini("optimizer.factor_decay", 0.95)
+    coupling: str = _ini("coupling.mode", optim.COUPLING_NONE)
+    beta: float = _ini("coupling.beta", 0.0)
+    mask: str = _ini("coupling.mask", "all")
+    epochs: int = _ini("run.epochs", 30)
+    batch_size: int = _ini("run.batch", 128)
+    seed: int = _ini("run.seed", 0)
+    schedule: tuple[int, ...] = _ini("run.schedule", (12, 24))
+    out_dir: str = _ini("run.out", "runs/run0")
+    probe_size: int = _ini("diagnostics.probe", 200)
+    trace_layers: tuple[int, ...] = _ini("diagnostics.trace_layers", ())
+    trace_size: int = _ini("diagnostics.trace", 64)
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -73,10 +75,8 @@ class ExperimentConfig:
             raise DomainError(
                 f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}"
             )
-        if self.coupling not in optim.COUPLING_MODES:
-            raise DomainError(f"unknown coupling {self.coupling!r}")
-        if self.mask not in optim.MASK_PRESETS:
-            raise DomainError(f"unknown mask {self.mask!r}; choose from {optim.MASK_PRESETS}")
+        self.network_spec()  # refuses bad dims and activations
+        self.coupling_obj()  # refuses a bad coupling mode, mask or beta
         if self.n_train < 1 or self.n_val < 0 or self.n_test < 0:
             raise DomainError(
                 f"split sizes must be positive train / nonnegative val, test; got "
@@ -95,8 +95,6 @@ class ExperimentConfig:
             raise DomainError(f"eta must be positive, got {self.eta}")
         if any(b <= a for a, b in zip((-1, *self.schedule), self.schedule)):
             raise DomainError(f"schedule epochs must be >= 0 and strictly ascending, got {self.schedule}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be nonnegative, got {self.beta}")
         if self.momentum > 0 and self.optimizer != "sgd":
             raise DomainError(f"momentum applies to sgd only, not {self.optimizer}")
         if not 0.0 <= self.factor_decay < 1.0:
@@ -143,52 +141,8 @@ class ExperimentConfig:
 
 # --- INI serialization ------------------------------------------------------
 
-# section -> key -> ExperimentConfig field; a value is read as its field's type
-_LAYOUT = {
-    "data": {
-        "dataset": "dataset",
-        "images": "mnist_images",
-        "labels": "mnist_labels",
-        "train": "n_train",
-        "val": "n_val",
-        "test": "n_test",
-        "whiten": "whiten_inputs",
-    },
-    "model": {
-        "dims": "layer_dims",
-        "activation": "activation",
-        "batchnorm": "batchnorm",
-        "bias": "bias",
-    },
-    "optimizer": {
-        "kind": "optimizer",
-        "eta": "eta",
-        "momentum": "momentum",
-        "lam": "lam",
-        "stats_every": "stats_every",
-        "invert_every": "invert_every",
-        "factor_decay": "factor_decay",
-    },
-    "coupling": {
-        "mode": "coupling",
-        "beta": "beta",
-        "mask": "mask",
-    },
-    "run": {
-        "epochs": "epochs",
-        "batch": "batch_size",
-        "seed": "seed",
-        "schedule": "schedule",
-        "out": "out_dir",
-    },
-    "diagnostics": {
-        "probe": "probe_size",
-        "trace_layers": "trace_layers",
-        "trace": "trace_size",
-    },
-}
-_FIELDS = {f"{section}.{key}": attr for section, keys in _LAYOUT.items() for key, attr in keys.items()}
-_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}  # annotation strings
+# "section.key" -> ExperimentConfig field; a value is read as its field's type
+_FIELDS = {f.metadata["ini"]: f for f in dataclasses.fields(ExperimentConfig)}
 
 _BOOL_WORDS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
@@ -239,10 +193,12 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 
 def to_ini(config: ExperimentConfig) -> str:
     """Render a config back to its file form (round-trips through load)."""
+    sections: dict[str, dict[str, str]] = {}
+    for dotted, f in _FIELDS.items():
+        section, key = dotted.split(".")
+        sections.setdefault(section, {})[key] = _format_value(getattr(config, f.name), f.type)
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _LAYOUT.items():
-        parser[section] = {key: _format_value(getattr(config, attr), _TYPES[attr])
-                           for key, attr in keys.items()}
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -258,9 +214,9 @@ def apply_overrides(config: ExperimentConfig, overrides) -> ExperimentConfig:
         dotted = dotted.strip()
         if dotted not in _FIELDS:
             raise DataFormatError(f"unknown config key {dotted!r}")
-        attr = _FIELDS[dotted]
+        f = _FIELDS[dotted]
         try:
-            values[attr] = _parse_value(raw, _TYPES[attr])
+            values[f.name] = _parse_value(raw, f.type)
         except (ValueError, DataFormatError) as exc:
             raise DataFormatError(f"bad value for {dotted}: {exc}") from exc
     return dataclasses.replace(config, **values)

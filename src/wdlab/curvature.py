@@ -155,7 +155,10 @@ class KfacFactors:
         return KfacFactors(a_factors=a_factors, s_factors=s_factors)
 
 
-def _augment_inputs(spec: nn.NetworkSpec, a: np.ndarray) -> np.ndarray:
+def augment_inputs(spec: nn.NetworkSpec, a: np.ndarray) -> np.ndarray:
+    """Layer inputs a (n x in) in the layout of the A factors: a trailing
+    column of ones, the bias's homogeneous coordinate, when the net has
+    biases, and `a` itself otherwise."""
     if spec.use_bias:
         return np.hstack([a, np.ones((a.shape[0], 1))])
     return a
@@ -184,7 +187,7 @@ def estimate_kfac_factors(
         raise ContractError("factor estimates need a train-mode forward trace")
     logits = trace.logits
     n, k = logits.shape
-    a_list = [_augment_inputs(spec, a) for a in trace.layer_inputs]
+    a_list = [augment_inputs(spec, a) for a in trace.layer_inputs]
     s_sums = [np.zeros((spec.layer_dims[l + 1], spec.layer_dims[l + 1])) for l in range(spec.n_layers)]
 
     if metric == "gn":

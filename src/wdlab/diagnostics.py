@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -203,16 +203,7 @@ def record_metrics(
     return record
 
 
-_SCALAR_FIELDS = (
-    "train_loss",
-    "train_acc",
-    "test_loss",
-    "test_acc",
-    "gen_gap",
-    "jacobian_norm",
-    "gn_norm",
-    "kfac_gn_norm",
-)
+_SCALAR_FIELDS = [f.name for f in fields(MetricRecord) if f.type == "float"]
 
 
 def _fmt(v: float) -> str:
@@ -255,7 +246,7 @@ class MetricLog:
             writer.writerow(row)
 
 
-HEALTH_FIELDS = ("a_eig_min", "a_eig_max", "s_eig_min", "s_eig_max", "damping_ratio")
+HEALTH_FIELDS = [f.name for f in fields(curvature.FactorSpectrum)]
 
 
 def write_kfac_health(path, health: list[tuple[int, list[curvature.FactorSpectrum]]]) -> None:

@@ -275,7 +275,7 @@ def kfac_step(
 
     def precondition(l, grad):
         if isinstance(grad, tuple):  # the factors' a carries the column of ones
-            grad = (grad[0], curvature._augment_inputs(spec, grad[1]))
+            grad = (grad[0], curvature.augment_inputs(spec, grad[1]))
         pre = curvature.apply_preconditioner(state.factors, l, grad)
         if not np.all(np.isfinite(pre)):
             raise NumericalError(f"layer {l}: preconditioned gradient is not finite")

@@ -102,6 +102,8 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("coupling.beta=20", "eta * beta"),
     ("run.batch=1", "batch size"),
     ("model.dims=6,8,20", "20 classes"),
+    ("model.dims=", "need at least one weight layer"),
+    ("model.activation=tanh", "unknown activation"),
     ("run.schedule=-1", "schedule"),
     ("run.schedule=24,12", "schedule"),
     ("optimizer.eta=nan", "eta must be finite"),
@@ -164,6 +166,15 @@ def test_grid_refuses_a_bad_axis_value_before_any_cell_trains(tmp_path, capsys, 
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "grid" / "cells").exists()
+
+
+def test_grid_refuses_a_net_without_a_weight_layer_before_writing_anything(tmp_path, capsys):
+    ini = write_ini(tmp_path, tiny_config(tmp_path / "grid"))
+    code = cli.main(["grid", "--config", str(ini), "--etas", "0.1", "--betas", "0",
+                     "--set", "model.dims="])
+    assert code == 2
+    assert "error: need at least one weight layer" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_diag_reproduces_the_grid_retrain(tmp_path, capsys):

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from wdlab import config, optim
-from wdlab.errors import CapacityError, DataFormatError, DomainError, InstabilityError
+from wdlab.errors import (CapacityError, DataFormatError, DomainError, InstabilityError,
+                          ShapeError)
 
 
 def test_defaults_are_desk_scale():
@@ -46,6 +47,13 @@ def test_validation_rejects_bad_fields():
         config.ExperimentConfig(trace_layers=(7,))
     with pytest.raises(DomainError, match="beta"):
         config.ExperimentConfig(beta=-0.5)
+    with pytest.raises(DomainError, match="mask"):
+        config.ExperimentConfig(mask="odd_only")
+    with pytest.raises(DomainError, match="activation"):
+        config.ExperimentConfig(activation="tanh")
+    for dims in ((), (784,), (784, 0, 10)):
+        with pytest.raises(ShapeError):
+            config.ExperimentConfig(layer_dims=dims)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -185,9 +193,33 @@ def test_readme_ini_block_loads_as_the_defaults():
             named.append((section, None))
         elif m := re.match(r"(\w+)\s*=", line):
             named.append((section, m.group(1)))
-    layout = [(sec, None) for sec in config._LAYOUT]
-    layout += [(sec, key) for sec, keys in config._LAYOUT.items() for key in keys]
+    keys = [tuple(dotted.split(".")) for dotted in config._FIELDS]
+    layout = [(sec, None) for sec in dict.fromkeys(sec for sec, _ in keys)] + keys
     assert sorted(named, key=str) == sorted(layout, key=str)
+
+
+def test_every_field_has_an_ini_key_of_its_own():
+    keys = [f.metadata["ini"] for f in dataclasses.fields(config.ExperimentConfig)]
+    assert all(re.fullmatch(r"[a-z]+\.[a-z_]+", key) for key in keys)
+    assert len(set(keys)) == len(keys)
+
+
+def test_ini_lists_sections_and_keys_in_field_order():
+    layout = []
+    for line in config.to_ini(config.ExperimentConfig()).splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line):
+            layout.append((m.group(1), []))
+        elif line:
+            layout[-1][1].append(line.split(" = ")[0])
+    assert layout == [
+        ("data", ["dataset", "images", "labels", "train", "val", "test", "whiten"]),
+        ("model", ["dims", "activation", "batchnorm", "bias"]),
+        ("optimizer", ["kind", "eta", "momentum", "lam", "stats_every", "invert_every",
+                       "factor_decay"]),
+        ("coupling", ["mode", "beta", "mask"]),
+        ("run", ["epochs", "batch", "seed", "schedule", "out"]),
+        ("diagnostics", ["probe", "trace_layers", "trace"]),
+    ]
 
 
 # config.ini as written before dense damping was removed
@@ -244,7 +276,7 @@ def test_ini_written_with_the_retired_damping_key_still_loads():
         coupling="weight_decay", beta=0.001, n_train=300, n_val=60, n_test=100, epochs=2,
         batch_size=32, trace_layers=(0,), trace_size=16, probe_size=20,
     )
-    assert "damping" not in config.to_ini(cfg)
+    assert config.to_ini(cfg) == OLD_KFAC_INI.replace("damping = factored\n", "")
     with pytest.raises(DataFormatError, match="dense damping was removed"):
         config.parse_config_text(OLD_KFAC_INI.replace("damping = factored", "damping = dense"))
     with pytest.raises(DataFormatError, match="unknown config key"):

@@ -290,7 +290,7 @@ def test_apply_preconditioner_rank_n_pair_matches_kron_solve(bias):
         for l in range(spec.n_layers):
             out, inp = spec.weight_shape(l)
             ds = rng.normal(size=(n, out))
-            a = curvature._augment_inputs(spec, rng.normal(size=(n, inp)))
+            a = curvature.augment_inputs(spec, rng.normal(size=(n, inp)))
             got = curvature.apply_preconditioner(state, l, (ds, a))
             expected = kron_precondition(
                 state.a_factors[l], state.s_factors[l], (ds.T @ a).T, 1e-3

@@ -394,15 +394,18 @@ def test_metric_log_round_trips_exactly(tmp_path):
 
 
 def test_metric_log_header_names_every_field(tmp_path):
+    # MetricRecord's field order is the file's column order
     path = tmp_path / "metrics.csv"
-    diagnostics.MetricLog(path).append(_small_run_record(traces=(1,)))
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[0] == "epoch"
-    for name in ("train_loss", "test_acc", "gen_gap", "jacobian_norm"):
-        assert name in header
-    assert "layer_norm_0" in header and "layer_norm_1" in header
-    assert "eff_lr_0" in header
-    assert "fisher_trace_1" in header and "gn_trace_1" in header
+    record = diagnostics.MetricRecord(
+        epoch=0, train_loss=1.0, train_acc=0.5, test_loss=1.0, test_acc=0.5, gen_gap=0.0,
+        jacobian_norm=1.0, gn_norm=1.0, kfac_gn_norm=1.0, layer_norms=(1.0, 2.0, 3.0),
+        effective_lrs=(0.1, 0.02, 0.01), fisher_traces={1: 1.0, 0: 2.0},
+        gn_traces={1: 1.0, 0: 2.0})
+    diagnostics.MetricLog(path).append(record)
+    assert path.read_text().splitlines()[0] == (
+        "epoch,train_loss,train_acc,test_loss,test_acc,gen_gap,jacobian_norm,gn_norm,"
+        "kfac_gn_norm,layer_norm_0,layer_norm_1,layer_norm_2,eff_lr_0,eff_lr_1,eff_lr_2,"
+        "fisher_trace_0,fisher_trace_1,gn_trace_0,gn_trace_1")
 
 
 def test_metric_log_rewrite_is_byte_identical(tmp_path):

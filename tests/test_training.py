@@ -182,6 +182,9 @@ def test_kfac_run_writes_health_log(tmp_path):
     result = training.train(cfg)
     with open(os.path.join(result.out_dir, "kfac_health.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
+    # FactorSpectrum's field order is the file's column order
+    assert list(rows[0]) == ["step", "layer", "a_eig_min", "a_eig_max", "s_eig_min",
+                             "s_eig_max", "damping_ratio", "steps_since_last_inversion"]
     assert [(int(r["step"]), int(r["layer"])) for r in rows] == [
         (step, l) for step in (0, 4, 8) for l in range(2)
     ]
