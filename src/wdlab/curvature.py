@@ -228,8 +228,9 @@ def update_factors_ema(
                 f"layer {l}: fresh factor shapes {a_new.shape}/{s_new.shape} do not match "
                 f"state {state.a_factors[l].shape}/{state.s_factors[l].shape}"
             )
-        state.a_factors[l] = decay * state.a_factors[l] + (1.0 - decay) * a_new
-        state.s_factors[l] = decay * state.s_factors[l] + (1.0 - decay) * s_new
+        for f, f_new in ((state.a_factors[l], a_new), (state.s_factors[l], s_new)):
+            f *= decay  # the arithmetic of decay * f + (1 - decay) * f_new, in f's buffer
+            f += (1.0 - decay) * f_new
     return state
 
 

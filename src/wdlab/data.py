@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,10 +67,40 @@ class Dataset:
 
 def make_splits(dataset: Dataset, n_train: int, n_val: int, n_test: int, seed: int) -> Dataset:
     """Keep n_train + n_val + n_test rows drawn by one seeded permutation,
-    in split order."""
+    in split order.  Consumes `dataset`: when every row is kept, its x and y
+    are reordered in place and shared with the result.  Sizes the pool cannot
+    hold are refused before any row moves."""
+    split = replace(dataset, n_train=n_train, n_val=n_val, n_test=n_test)
     rows = np.random.default_rng(seed).permutation(dataset.n)[: n_train + n_val + n_test]
-    return Dataset(x=dataset.x[rows], y=dataset.y[rows], n_classes=dataset.n_classes,
-                   n_train=n_train, n_val=n_val, n_test=n_test)
+    if rows.size < dataset.n:  # a gather holds only the kept rows beside the pool
+        return replace(split, x=dataset.x[rows], y=dataset.y[rows])
+    _permute_rows(rows, split.x, split.y)
+    return split
+
+
+_BLOCK_ROWS = 512  # rows one move copies through a temporary
+
+
+def _permute_rows(rows: np.ndarray, *arrays: np.ndarray) -> None:
+    """Set each array to array[rows] in place by walking the cycles of the
+    permutation `rows`, copying at most a block of rows at a time."""
+    order = rows.tolist()
+    done = [False] * len(order)
+    for start, nxt in enumerate(order):
+        if done[start] or nxt == start:
+            continue
+        cycle = [start]
+        while nxt != start:
+            done[nxt] = True
+            cycle.append(nxt)
+            nxt = order[nxt]
+        # row cycle[k] takes row cycle[k + 1]; the last takes the first's
+        dest, src = np.array(cycle[:-1]), np.array(cycle[1:])
+        for a in arrays:
+            first = a[start].copy()
+            for s in range(0, dest.size, _BLOCK_ROWS):
+                a[dest[s:s + _BLOCK_ROWS]] = a[src[s:s + _BLOCK_ROWS]]
+            a[cycle[-1]] = first
 
 
 # --- MNIST IDX --------------------------------------------------------------

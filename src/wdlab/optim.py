@@ -270,6 +270,7 @@ def kfac_step(
     if state.step % state.t_stats == 0:
         fresh = curvature.estimate_kfac_factors(state.metric, spec, params, trace, rng=state.rng)
         curvature.update_factors_ema(state.factors, fresh, state.factor_decay)
+        del fresh  # the batch estimates are not held through the inversion
     if state.step % state.t_inv == 0:
         state.health.append((state.step, curvature.invert_factors(state.factors, state.lam)))
 

@@ -246,6 +246,23 @@ def test_update_factors_ema():
         curvature.update_factors_ema(state, bad, decay=0.5)
 
 
+def test_update_factors_ema_writes_into_the_factor_arrays():
+    rng = np.random.default_rng(16)
+    spec = nn.mlp((5, 4, 3))
+    state = curvature.KfacFactors.zeros(spec)
+    for f in state.a_factors + state.s_factors:
+        f += rng.normal(size=f.shape)
+    arrays = state.a_factors + state.s_factors
+    fresh = [(rng.normal(size=a.shape), rng.normal(size=s.shape))
+             for a, s in zip(state.a_factors, state.s_factors)]
+    want = [0.95 * f + (1 - 0.95) * new
+            for f, new in zip(arrays, [a for a, _ in fresh] + [s for _, s in fresh])]
+    curvature.update_factors_ema(state, fresh, decay=0.95)
+    for before, after, w in zip(arrays, state.a_factors + state.s_factors, want):
+        assert after is before
+        assert after.tobytes() == w.tobytes()
+
+
 def test_apply_preconditioner_matches_kron_solve():
     rng = np.random.default_rng(15)
     spec = nn.mlp((4, 3, 2))

@@ -137,19 +137,72 @@ def test_make_splits_sizes_and_disjointness():
 
 
 def test_make_splits_deterministic_per_seed():
-    ds = _numbered(50)
-    a = data.make_splits(ds, 30, 10, 10, seed=3)
-    b = data.make_splits(ds, 30, 10, 10, seed=3)
+    # make_splits consumes its pool, so each call gets a fresh one
+    a = data.make_splits(_numbered(50), 30, 10, 10, seed=3)
+    b = data.make_splits(_numbered(50), 30, 10, 10, seed=3)
     npt.assert_array_equal(a.x, b.x)
     npt.assert_array_equal(a.y, b.y)
-    c = data.make_splits(ds, 30, 10, 10, seed=4)
+    c = data.make_splits(_numbered(50), 30, 10, 10, seed=4)
     assert not np.array_equal(a.split("train")[0], c.split("train")[0])
 
 
 def test_make_splits_rejects_oversubscription():
-    ds = data.Dataset(x=np.zeros((10, 2)), y=np.zeros(10, dtype=int), n_classes=2)
-    with pytest.raises(DomainError):
-        data.make_splits(ds, 8, 2, 1, seed=0)
+    # refused before any row moves: a negative size that brings the total
+    # down to the pool's rows too, so the pool keeps its bytes
+    for sizes in ((8, 2, 1), (10, 1, -1)):
+        ds = _numbered(10)
+        with pytest.raises(DomainError, match="do not fit 10 rows"):
+            data.make_splits(ds, *sizes, seed=0)
+        assert ds.x.tobytes() == _numbered(10).x.tobytes()
+        assert ds.y.tobytes() == _numbered(10).y.tobytes()
+
+
+def _random_pool(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return data.Dataset(x=rng.normal(size=(n, d)), y=rng.integers(0, 3, size=n), n_classes=3)
+
+
+@pytest.mark.parametrize("n, d, sizes", [
+    (700, 784, (500, 100, 100)),  # a full pool
+    (1, 3, (1, 0, 0)),            # a one-row pool
+    (100, 5, (40, 10, 10)),       # a partial pool
+    (3000, 2, (2000, 500, 500)),  # a full pool whose longest cycle spans 512-row blocks
+])
+def test_make_splits_equals_the_gather_byte_for_byte(n, d, sizes):
+    pool = _random_pool(n, d, seed=n)
+    rows = np.random.default_rng(11).permutation(n)[: sum(sizes)]
+    want_x, want_y = pool.x[rows], pool.y[rows]
+    split = data.make_splits(pool, *sizes, seed=11)
+    assert split.x.tobytes() == want_x.tobytes()
+    assert split.y.tobytes() == want_y.tobytes()
+    assert (split.n_train, split.n_val, split.n_test) == sizes
+
+
+@pytest.mark.parametrize("rows", [
+    [0, 2, 3, 1, 4, 6, 5],              # fixed points 0 and 4 beside a 3- and a 2-cycle
+    list(range(1, 20)) + [0],           # one cycle over seven blocks of 3
+    [3, 4, 5, 0, 1, 2, 6, 8, 7],        # three 2-cycles, a fixed point and a swap
+])
+def test_permute_rows_equals_the_gather(rows, monkeypatch):
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 3)
+    rows = np.array(rows)
+    x = np.random.default_rng(0).normal(size=(rows.size, 4))
+    y = np.arange(rows.size) * 7
+    want_x, want_y = x[rows], y[rows]
+    data._permute_rows(rows, x, y)
+    assert x.tobytes() == want_x.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+
+
+def test_make_splits_of_a_full_pool_reorders_it_in_place():
+    pool = _numbered(40)
+    split = data.make_splits(pool, 20, 10, 10, seed=5)
+    assert np.shares_memory(split.x, pool.x) and np.shares_memory(split.y, pool.y)
+    # a partial split gathers its rows into new arrays and leaves the pool as it was
+    pool = _numbered(40)
+    split = data.make_splits(pool, 20, 5, 5, seed=5)
+    assert not np.shares_memory(split.x, pool.x)
+    npt.assert_array_equal(pool.x, _numbered(40).x)
 
 
 def test_split_views_select_rows():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,20 @@ def test_grid_parallel_jobs_match_serial(tmp_path):
     sa = {(c.eta, c.beta): c.val_accuracy for c in serial.cells}
     pa = {(c.eta, c.beta): c.val_accuracy for c in parallel.cells}
     assert sa == pa
+
+
+def test_build_dataset_holds_its_rows_once(tmp_path):
+    # wide rows and a pool of several row blocks, so the teacher's forward and
+    # a block's temporary are small beside the pool
+    cfg = tiny_config(tmp_path, layer_dims=(784, 8, 3), n_train=1500, n_val=250, n_test=250)
+    tracemalloc.start()
+    try:
+        ds = training.build_dataset(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 2000
+    assert peak < 1.5 * (ds.x.nbytes + ds.y.nbytes)
 
 
 def test_build_dataset_synthetic_split_sizes(tmp_path):
