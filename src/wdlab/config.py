@@ -43,7 +43,7 @@ class ExperimentConfig:
     layer_dims: tuple[int, ...] = _ini("model.dims", (784, 256, 256, 10))
     activation: str = _ini("model.activation", "relu")
     batchnorm: bool = _ini("model.batchnorm", False)
-    bias: bool = _ini("model.bias", False)
+    bias: bool = _ini("model.bias", False)  # only "no": every net is bias-free
     optimizer: str = _ini("optimizer.kind", "sgd")
     eta: float = _ini("optimizer.eta", 0.1)
     momentum: float = _ini("optimizer.momentum", 0.0)
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise DomainError(
                 f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}"
             )
+        if self.bias:
+            raise DomainError("model.bias: every net is bias-free, so 'no' is the only value")
         self.network_spec()  # refuses bad dims and activations
         self.coupling_obj()  # refuses a bad coupling mode, mask or beta
         if self.n_train < 1 or self.n_val < 0 or self.n_test < 0:
@@ -127,7 +129,6 @@ class ExperimentConfig:
             list(self.layer_dims),
             activation=self.activation,
             bn=self.batchnorm,
-            bias=self.bias,
         )
 
     def coupling_obj(self) -> optim.Coupling:
@@ -176,7 +177,10 @@ def load_config(path) -> ExperimentConfig:
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     """The defaults with every `section.key = value` of the file applied."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
-    parser.read_string(text, source=source)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:  # a duplicate key or section, no section header
+        raise DataFormatError(f"{source}: malformed INI: {exc}") from exc
     items = []
     for section in parser.sections():
         for key, raw in parser.items(section):

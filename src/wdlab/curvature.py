@@ -133,11 +133,11 @@ class FactorSpectrum:
 class KfacFactors:
     """Per-layer Kronecker factors with their (possibly stale) inverses.
 
-    a_factors[l] is the input second moment of layer l (with a trailing
-    homogeneous coordinate when the network has biases); s_factors[l] the
-    pre-activation-gradient second moment.  inverses[l], computed at inversion
-    time and deliberately stale until the next inversion, holds the factored
-    Tikhonov pair ((S + sqrt(lam) I)^-1, (A + sqrt(lam) I)^-1).
+    a_factors[l] is the input second moment of layer l (in x in, as the net
+    is bias-free); s_factors[l] the pre-activation-gradient second moment.
+    inverses[l], computed at inversion time and deliberately stale until the
+    next inversion, holds the factored Tikhonov pair ((S + sqrt(lam) I)^-1,
+    (A + sqrt(lam) I)^-1).
     """
 
     a_factors: list[np.ndarray]
@@ -149,19 +149,9 @@ class KfacFactors:
         a_factors, s_factors = [], []
         for l in range(spec.n_layers):
             out, inp = spec.weight_shape(l)
-            side = inp + (1 if spec.use_bias else 0)
-            a_factors.append(np.zeros((side, side)))
+            a_factors.append(np.zeros((inp, inp)))
             s_factors.append(np.zeros((out, out)))
         return KfacFactors(a_factors=a_factors, s_factors=s_factors)
-
-
-def augment_inputs(spec: nn.NetworkSpec, a: np.ndarray) -> np.ndarray:
-    """Layer inputs a (n x in) in the layout of the A factors: a trailing
-    column of ones, the bias's homogeneous coordinate, when the net has
-    biases, and `a` itself otherwise."""
-    if spec.use_bias:
-        return np.hstack([a, np.ones((a.shape[0], 1))])
-    return a
 
 
 def estimate_kfac_factors(
@@ -187,7 +177,6 @@ def estimate_kfac_factors(
         raise ContractError("factor estimates need a train-mode forward trace")
     logits = trace.logits
     n, k = logits.shape
-    a_list = [augment_inputs(spec, a) for a in trace.layer_inputs]
     s_sums = [np.zeros((spec.layer_dims[l + 1], spec.layer_dims[l + 1])) for l in range(spec.n_layers)]
 
     if metric == "gn":
@@ -205,7 +194,7 @@ def estimate_kfac_factors(
         for l in range(spec.n_layers):
             s_sums[l] += s_grads[l].T @ s_grads[l]
 
-    return [(a.T @ a / n, s / n) for a, s in zip(a_list, s_sums)]
+    return [(a.T @ a / n, s / n) for a, s in zip(trace.layer_inputs, s_sums)]
 
 
 def update_factors_ema(
@@ -237,10 +226,17 @@ def update_factors_ema(
 def invert_factors(state: KfacFactors, lam: float) -> list[FactorSpectrum]:
     """Store every layer's factored Tikhonov inverses ((S + sqrt(lam) I)^-1,
     (A + sqrt(lam) I)^-1) for preconditioning, and return the layers' factor
-    spectra from the same eigendecompositions."""
+    spectra from the same eigendecompositions.
+
+    The previous inverses are dropped before the new ones are built, so the
+    two sets are never held together.  An eigendecomposition that raises
+    (NumericalError for a non-finite factor) therefore leaves no inverses;
+    training turns that error into TrainingDiverged, so nothing reads them
+    afterwards."""
     if lam <= 0.0:
         raise DomainError(f"damping must be positive, got {lam}")
     root = np.sqrt(lam)
+    state.inverses = None
     inverses, spectra = [], []
     for a, s in zip(state.a_factors, state.s_factors):
         ea, es = linalg.sym_eig(a), linalg.sym_eig(s)
@@ -263,12 +259,11 @@ def apply_preconditioner(state: KfacFactors, layer: int, grad) -> np.ndarray:
     """Apply the stored inverse of (S_l + sqrt(lam) I) (x) (A_l + sqrt(lam) I)
     to a layer gradient: S^-1 V A^-1, writing S and A for the damped factors.
 
-    `grad` is either the out x in(+1) matrix V, laid out like the weight
-    matrix (with the bias gradient as a trailing column when present), or
-    the pair (ds, a) of its thin factors V = ds^T a: ds the n x out
-    pre-activation gradients, a the n x in(+1) layer inputs (with the column
-    of ones when the network has biases).  A minibatch gradient has rank at
-    most n, so the pair route never forms V: it computes (S^-1 ds^T)(a A^-1).
+    `grad` is either the out x in matrix V, laid out like the weight matrix,
+    or the pair (ds, a) of its thin factors V = ds^T a: ds the n x out
+    pre-activation gradients, a the n x in layer inputs.  A minibatch
+    gradient has rank at most n, so the pair route never forms V: it
+    computes (S^-1 ds^T)(a A^-1).
     Where n >= out (a narrow output layer) the n x out product is taken
     first instead, which is the cheaper order there.
     """
@@ -302,8 +297,6 @@ def apply_preconditioner(state: KfacFactors, layer: int, grad) -> np.ndarray:
 def gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float:
     """theta^T G theta for bias-free piecewise-linear nets, evaluated as
     (L+1)^2 * mean ||f(x)||^2 — the positive-homogeneity shortcut."""
-    if spec.use_bias:
-        raise ContractError("the output-norm identity requires a bias-free network")
     logits, _ = nn.forward(spec, params, x, mode="eval")
     depth_plus_1 = spec.n_layers
     return float(depth_plus_1**2 * np.mean(np.sum(logits * logits, axis=1)))
@@ -315,8 +308,6 @@ def gn_norm_gradient(
     x,
 ) -> np.ndarray:
     """Gradient of theta^T G theta with G frozen: 2 (L+1) G theta, flattened."""
-    if spec.use_bias:
-        raise ContractError("the metric-norm gradient identity requires a bias-free network")
     g = dense_curvature(GAUSS_NEWTON, spec, params, x)
     theta = nn.flatten_params(spec, params)
     return 2.0 * spec.n_layers * (g @ theta)
@@ -341,8 +332,6 @@ def normalized_traces(
     if not 0 <= layer < spec.n_layers:
         raise ShapeError(f"no layer {layer} in a {spec.n_layers}-layer network")
     norm_sq = float(np.sum(params.weights[layer] ** 2))
-    if spec.use_bias:
-        norm_sq += float(np.sum(params.biases[layer] ** 2))
     if norm_sq == 0.0:
         raise DegenerateError(f"layer {layer} has zero norm; its direction is undefined")
 
@@ -356,9 +345,9 @@ def normalized_traces(
     gn_raw = fisher_raw = 0.0
     a = trace.layer_inputs[layer]
     if spec.has_bn:
-        # ||ds^T a||_F^2 = sum((ds ds^T) * (a a^T)), and the bias column adds
-        # ||sum of ds rows||^2, so no per-seed weight gradient is formed
-        gram = a @ a.T + (1.0 if spec.use_bias else 0.0)
+        # ||ds^T a||_F^2 = sum((ds ds^T) * (a a^T)), so no per-seed weight
+        # gradient is formed
+        gram = a @ a.T
         blocks = np.concatenate([np.broadcast_to(np.eye(k), (n, k, k)), probs[:, None, :]], axis=1)
         for ex in nn.seed_chunks(n, (k + 1) * n):
             s_grads, _ = nn.vjp(spec, params, trace, nn.example_seeds(blocks, ex), lowest=layer)
@@ -369,7 +358,7 @@ def normalized_traces(
             gn_raw += float(np.sum(ssq[:, 0].ravel()))
             fisher_raw += float(np.sum(probs[ex] * ssq[:, 1]))
     else:
-        a_sq = np.sum(a * a, axis=1) + (1.0 if spec.use_bias else 0.0)
+        a_sq = np.sum(a * a, axis=1)
         ds_p = nn.vjp(spec, params, trace, probs, lowest=layer)[0][layer]
         seeds = nn.output_seeds(n, k)
         for chunk in nn.seed_chunks(k, n):

@@ -183,7 +183,7 @@ def gen_synthetic(
     whiten_inputs: bool = False,
 ) -> Dataset:
     """Gaussian inputs labeled by the argmax of the logits of a randomly
-    initialized teacher network, d -> 32 (ReLU) -> k without biases.
+    initialized teacher network, d -> 32 (ReLU) -> k, bias-free.
 
     The teacher is resampled until every class claims at least 1% of the
     examples, so the labels are never degenerate.  Whitening requires n > d.
@@ -195,7 +195,7 @@ def gen_synthetic(
             f"whitening needs more examples than dimensions (n={n}, d={d}); "
             "reduce d or draw more samples"
         )
-    teacher = nn.mlp([d, 32, k], activation="relu", bias=False)
+    teacher = nn.mlp([d, 32, k], activation="relu")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     if whiten_inputs:

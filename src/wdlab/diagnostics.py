@@ -162,10 +162,9 @@ def record_metrics(
     """Measure one epoch, BN nets with `bn_state`'s running statistics.
     `probe_x` feeds the Jacobian and metric norms, all from one probe pass
     (NaN when absent).  gn_norm is (L+1) kfac_gn_norm, since J_l theta_l = f
-    for every layer of a bias-free, BN-free net; it is NaN for nets with
-    biases or BN.  `trace_x`/`trace_layers` select the normalized GN and
-    Fisher traces, both from one pass per layer.  When `log` is given the
-    record is appended."""
+    for every layer of a bias-free, BN-free net; it is NaN for BN nets.
+    `trace_x`/`trace_layers` select the normalized GN and Fisher traces, both
+    from one pass per layer.  When `log` is given the record is appended."""
     train_loss, train_acc = evaluate(spec, params, *train_eval, bn_state=bn_state)
     test_loss, test_acc = evaluate(spec, params, *test_eval, bn_state=bn_state)
     norms = tuple(float(v) for v in nn.layer_norms(params))
@@ -174,7 +173,7 @@ def record_metrics(
     jac = gnn = kfac_gnn = float("nan")
     if probe_x is not None:
         jac, kfac_gnn = probe_norms(spec, params, probe_x, bn_state=bn_state)
-        if not (spec.use_bias or spec.has_bn):
+        if not spec.has_bn:
             gnn = spec.n_layers * kfac_gnn
 
     fisher_traces: dict[int, float] = {}

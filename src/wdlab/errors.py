@@ -18,7 +18,7 @@ class DegenerateError(ValueError):
 
 
 class ContractError(ValueError):
-    """Operation used outside the hypotheses its identity needs (biases, no BN, ...)."""
+    """Operation used outside the hypotheses its identity needs (a trace in the wrong mode, uninverted factors, ...)."""
 
 
 class DataFormatError(ValueError):

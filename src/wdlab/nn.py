@@ -1,18 +1,19 @@
 """Feed-forward network engine.
 
-Fully-connected layers with ReLU or identity activation, optional batch
-normalization on hidden pre-activations (never on the output layer), and an
-optional bias term.  The forward pass captures every intermediate needed by
-backprop and Kronecker-factor estimation.  `vjp`, the one backward, is exact
-(BN included) and propagates a whole stack of seeds in one pass; it returns
-pre-activation gradients ds_l, from which a weight gradient is ds_l^T a_l and
-a bias gradient the column sums of ds_l.
+Fully-connected bias-free layers with ReLU or identity activation and
+optional batch normalization on hidden pre-activations (never on the output
+layer).  Being bias-free, a ReLU or linear net is positively homogeneous in
+each layer's weights, which the metric-norm identities rest on.  The forward
+pass captures every intermediate needed by backprop and Kronecker-factor
+estimation.  `vjp`, the one backward, is exact (BN included) and propagates a
+whole stack of seeds in one pass; it returns pre-activation gradients ds_l,
+from which a weight gradient is ds_l^T a_l.
 
 Conventions fixed here and relied on everywhere else:
-  * weight matrices are out x in; s_l = a_l @ W_l.T (+ b_l),
+  * weight matrices are out x in; s_l = a_l @ W_l.T,
   * a depth-L network has L+1 weight matrices, the output being layer L,
   * the canonical flattening of the parameter vector is, layer by layer,
-    W_l.ravel(row-major) followed by b_l when biases are enabled.
+    W_l.ravel(row-major).
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ PARAM_CAP = 20000
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture: layer widths, activation, BN on every hidden layer or none, bias."""
+    """Architecture: layer widths, activation, BN on every hidden layer or none."""
 
     layer_dims: tuple[int, ...]
     activation: str = RELU
     has_bn: bool = False
-    use_bias: bool = False
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -84,7 +84,7 @@ class NetworkSpec:
         total = 0
         for l in range(self.n_layers):
             out, inp = self.weight_shape(l)
-            total += out * inp + (out if self.use_bias else 0)
+            total += out * inp
         return total
 
     def to_dict(self) -> dict:
@@ -92,7 +92,7 @@ class NetworkSpec:
             "layer_dims": list(self.layer_dims),
             "activation": self.activation,
             "use_bn": [self.has_bn] * self.n_hidden,
-            "use_bias": self.use_bias,
+            "use_bias": False,  # kept so checkpoint headers stay as they were written
         }
 
     @staticmethod
@@ -101,31 +101,28 @@ class NetworkSpec:
             layer_dims=tuple(d["layer_dims"]),
             activation=d["activation"],
             has_bn=any(d["use_bn"]),
-            use_bias=bool(d["use_bias"]),
         )
         if list(d["use_bn"]) != spec.to_dict()["use_bn"]:
             raise ShapeError(f"use_bn must be one flag repeated per hidden layer "
                              f"({spec.n_hidden}), got {d['use_bn']!r}")
+        if d["use_bias"] is not False:
+            raise DomainError(f"every net is bias-free, got use_bias {d['use_bias']!r}")
         return spec
 
 
-def mlp(dims, activation: str = RELU, bn: bool = False, bias: bool = False) -> NetworkSpec:
+def mlp(dims, activation: str = RELU, bn: bool = False) -> NetworkSpec:
     """Convenience builder; `bn` turns BN on for every hidden layer."""
-    return NetworkSpec(layer_dims=tuple(dims), activation=activation, has_bn=bn, use_bias=bias)
+    return NetworkSpec(layer_dims=tuple(dims), activation=activation, has_bn=bn)
 
 
 @dataclass
 class NetworkParams:
-    """Per-layer weight matrices (out x in) and optional bias vectors."""
+    """Per-layer weight matrices (out x in)."""
 
     weights: list[np.ndarray]
-    biases: list[np.ndarray] | None = None
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            weights=[w.copy() for w in self.weights],
-            biases=None if self.biases is None else [b.copy() for b in self.biases],
-        )
+        return NetworkParams(weights=[w.copy() for w in self.weights])
 
 
 @dataclass
@@ -170,10 +167,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkParams:
     for l in range(spec.n_layers):
         out, inp = spec.weight_shape(l)
         weights.append(rng.normal(0.0, np.sqrt(gain / inp), size=(out, inp)))
-    biases = None
-    if spec.use_bias:
-        biases = [np.zeros(spec.layer_dims[l + 1]) for l in range(spec.n_layers)]
-    return NetworkParams(weights=weights, biases=biases)
+    return NetworkParams(weights=weights)
 
 
 def check_params(spec: NetworkSpec, params: NetworkParams) -> None:
@@ -184,8 +178,6 @@ def check_params(spec: NetworkSpec, params: NetworkParams) -> None:
             raise ShapeError(f"layer {l}: weight shape {w.shape} != {spec.weight_shape(l)}")
         if not np.all(np.isfinite(w)):
             raise ShapeError(f"layer {l}: non-finite weights")
-    if spec.use_bias and params.biases is None:
-        raise ShapeError("spec requires biases but params has none")
 
 
 def _activate(spec: NetworkSpec, z: np.ndarray) -> np.ndarray:
@@ -227,8 +219,6 @@ def forward(
     for l in range(spec.n_layers):
         trace.layer_inputs.append(a)
         s = a @ params.weights[l].T
-        if spec.use_bias:
-            s = s + params.biases[l]
         trace.pre_activations.append(s)
         if l == spec.n_layers - 1:
             trace.logits = s
@@ -338,29 +328,16 @@ def input_jacobian(spec: NetworkSpec, params: NetworkParams, trace: ForwardTrace
 
 
 def flatten_params(spec: NetworkSpec, params: NetworkParams) -> np.ndarray:
-    """Canonical parameter vector: per layer, row-major weights then bias."""
-    parts = []
-    for l in range(spec.n_layers):
-        parts.append(params.weights[l].ravel())
-        if spec.use_bias:
-            parts.append(params.biases[l])
-    return np.concatenate(parts)
+    """Canonical parameter vector: per layer, the row-major weights."""
+    return np.concatenate([params.weights[l].ravel() for l in range(spec.n_layers)])
 
 
 def unflatten_params(spec: NetworkSpec, theta: np.ndarray) -> NetworkParams:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (spec.n_params,):
         raise ShapeError(f"theta has {theta.shape}, spec wants ({spec.n_params},)")
-    weights, biases = [], [] if spec.use_bias else None
-    off = 0
-    for l in range(spec.n_layers):
-        out, inp = spec.weight_shape(l)
-        weights.append(theta[off : off + out * inp].reshape(out, inp).copy())
-        off += out * inp
-        if spec.use_bias:
-            biases.append(theta[off : off + out].copy())
-            off += out
-    return NetworkParams(weights=weights, biases=biases)
+    return NetworkParams(weights=[theta[s].reshape(spec.weight_shape(l)).copy()
+                                  for l, s in enumerate(layer_slices(spec))])
 
 
 def layer_slices(spec: NetworkSpec) -> list[slice]:
@@ -369,7 +346,7 @@ def layer_slices(spec: NetworkSpec) -> list[slice]:
     off = 0
     for l in range(spec.n_layers):
         out, inp = spec.weight_shape(l)
-        size = out * inp + (out if spec.use_bias else 0)
+        size = out * inp
         slices.append(slice(off, off + size))
         off += size
     return slices
@@ -392,21 +369,15 @@ def param_jacobian(
     n, k = trace.logits.shape
     if trace.mode == "eval" or not spec.has_bn:
         s_grads, _ = vjp(spec, params, trace, output_seeds(n, k))
-        parts = []
-        for g, a in zip(s_grads, trace.layer_inputs):
-            parts.append(np.einsum("cno,ni->ncoi", g, a).reshape(n, k, -1))
-            if spec.use_bias:
-                parts.append(g.transpose(1, 0, 2))
+        parts = [np.einsum("cno,ni->ncoi", g, a).reshape(n, k, -1)
+                 for g, a in zip(s_grads, trace.layer_inputs)]
         return np.concatenate(parts, axis=2)
     blocks = np.broadcast_to(np.eye(k), (n, k, k))
     jac = np.empty((n * k, spec.n_params))
     for ex in seed_chunks(n, k * n):
         s_grads, _ = vjp(spec, params, trace, example_seeds(blocks, ex))
-        parts = []
-        for g, a in zip(s_grads, trace.layer_inputs):
-            parts.append((g.transpose(0, 2, 1) @ a).reshape(g.shape[0], -1))
-            if spec.use_bias:
-                parts.append(g.sum(axis=1))
+        parts = [(g.transpose(0, 2, 1) @ a).reshape(g.shape[0], -1)
+                 for g, a in zip(s_grads, trace.layer_inputs)]
         jac[ex.start * k : ex.stop * k] = np.concatenate(parts, axis=1)
     return jac.reshape(n, k, -1)
 

@@ -8,13 +8,12 @@ Couplings:
   weight_decay  masked weights are shrunk by eta * beta in the same update,
                 untouched by the preconditioner
 
-The coupling, the layer mask and the bias are applied in one place,
-`_update`; SGD, Adam and K-FAC differ only in the direction they take from
-a layer's gradient, the (ds, a) pair of `nn.vjp` (weight gradient ds^T a,
-bias gradient the column sums of ds).  Every layer moves as the out x in(+1)
-matrix [W b], the layout of K-FAC's factors.  Decay only ever touches W;
-bias vectors always take the plain step.  No step runs the network: K-FAC
-reads its factor statistics from the caller's forward trace.
+The coupling and the layer mask are applied in one place, `_update`; SGD,
+Adam and K-FAC differ only in the direction they take from a layer's
+gradient, the (ds, a) pair of `nn.vjp` whose weight gradient is ds^T a.
+Every net is bias-free, so a layer's weight matrix is all it moves, in the
+out x in layout of K-FAC's factors.  No step runs the network: K-FAC reads
+its factor statistics from the caller's forward trace.
 
 For momentum-free SGD the two couplings are mathematically identical; both
 are routed through literally the same arithmetic so trajectories agree to
@@ -94,36 +93,30 @@ def _check_decay_stability(eta: float, coupling: Coupling) -> None:
 
 
 def _update(state, params: nn.NetworkParams, grads, coupling: Coupling, direction=None):
-    """Move each layer's [W b] by -eta * direction(l, grad) under the coupling.
+    """Move each layer's W by -eta * direction(l, grad) under the coupling.
 
-    grads[l] is layer l's (ds, a) pair; grad is the formed [ds^T a, ds summed
-    over rows], but K-FAC gets the pair unless l2 makes it full rank.  l2 adds
-    beta [W 0] before the direction, weight_decay subtracts eta beta [W 0]
-    after it.  direction=None is momentum-free SGD, whose step is grad; there
-    l2 runs as weight_decay, the same update, so the two agree bit for bit."""
+    grads[l] is layer l's (ds, a) pair; grad is the formed ds^T a, but K-FAC
+    gets the pair unless l2 makes it full rank.  l2 adds beta W before the
+    direction, weight_decay subtracts eta beta W after it.  direction=None is
+    momentum-free SGD, whose step is grad; there l2 runs as weight_decay, the
+    same update, so the two agree bit for bit."""
     _check_decay_stability(state.eta, coupling)
     mask = coupling.layer_mask(len(params.weights))
-    bias = params.biases is not None
-    new = nn.NetworkParams(weights=[], biases=[] if bias else None)
+    new = nn.NetworkParams(weights=[])
     for l, (ds, a) in enumerate(grads):
         w = params.weights[l]
-        cols = slice(0, w.shape[1])
         beta = coupling.beta if coupling.mode != COUPLING_NONE and mask[l] else 0.0
         l2 = beta != 0.0 and coupling.mode == COUPLING_L2 and direction is not None
         grad = (ds, a)
         if l2 or not isinstance(state, KfacState):
             grad = ds.T @ a
-            if bias:
-                grad = np.hstack([grad, ds.sum(axis=0)[:, None]])
             if l2:
-                grad[:, cols] += beta * w
+                grad += beta * w
         step = grad if direction is None else direction(l, grad)
-        moved = (np.hstack([w, params.biases[l][:, None]]) if bias else w) - state.eta * step
+        moved = w - state.eta * step
         if beta != 0.0 and not l2:
-            moved[:, cols] -= (state.eta * beta) * w
-        new.weights.append(moved[:, cols].copy() if bias else moved)
-        if bias:
-            new.biases.append(moved[:, -1].copy())
+            moved -= (state.eta * beta) * w
+        new.weights.append(moved)
     return new
 
 
@@ -134,7 +127,7 @@ def _update(state, params: nn.NetworkParams, grads, coupling: Coupling, directio
 class SgdState:
     eta: float
     momentum: float = 0.0
-    velocities: list[np.ndarray] | None = None  # [W b] layout
+    velocities: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -156,7 +149,7 @@ def sgd_step(
     if state.momentum == 0.0:
         return _update(state, params, grads, coupling)
     if state.velocities is None:
-        state.velocities = [0.0] * len(params.weights)  # [W b]-shaped once stepped
+        state.velocities = [0.0] * len(params.weights)  # weight-shaped once stepped
 
     def velocity(l, g):
         state.velocities[l] = state.momentum * state.velocities[l] + g
@@ -175,7 +168,7 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] | None = None  # [W b] layout, like v
+    m: list[np.ndarray] | None = None
     v: list[np.ndarray] | None = None
 
     def __post_init__(self):
@@ -275,8 +268,6 @@ def kfac_step(
         state.health.append((state.step, curvature.invert_factors(state.factors, state.lam)))
 
     def precondition(l, grad):
-        if isinstance(grad, tuple):  # the factors' a carries the column of ones
-            grad = (grad[0], curvature.augment_inputs(spec, grad[1]))
         pre = curvature.apply_preconditioner(state.factors, l, grad)
         if not np.all(np.isfinite(pre)):
             raise NumericalError(f"layer {l}: preconditioned gradient is not finite")

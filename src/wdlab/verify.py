@@ -91,7 +91,7 @@ def _bias_free_net(rng, dims, n, activation="relu", margin=1e-6):
     mostly-dead narrow layer can defeat any number of input redraws on its
     own."""
     for _ in range(RESAMPLE_TRIES):
-        spec = nn.mlp(dims, activation=activation, bias=False)
+        spec = nn.mlp(dims, activation=activation)
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(n, spec.input_dim))
         if activation == "identity":
@@ -209,7 +209,7 @@ def check_equivalences(trials, rng):
         if _rel(gn, fisher_ce) <= 1e-3:  # control
             worst = float("inf")
         if trial % 10 == 0:
-            one = nn.mlp([dims[0], 3, 1], activation="relu", bias=False)
+            one = nn.mlp([dims[0], 3, 1], activation="relu")
             one_params = nn.init_params(one, rng)
             degenerate = curvature.dense_curvature(
                 curvature.FISHER_EXACT, one, one_params, x, loss_kind=loss.CROSS_ENTROPY
@@ -225,7 +225,7 @@ def check_bn_scale_invariance(trials, rng):
     worst = 0.0
     for _ in range(trials):
         dims = [int(rng.integers(4, 9)) for _ in range(4)]
-        spec = nn.mlp(dims, activation="relu", bn=True, bias=False)
+        spec = nn.mlp(dims, activation="relu", bn=True)
         params, x, base = _bn_net(rng, spec, 12, gain=40.0, x_scale=40.0)
         denom = float(np.linalg.norm(base))
         for layer in (0, 1):
@@ -292,7 +292,7 @@ def check_update_rules(trials, rng):
     etas = np.array([1e-2, 5e-3, 2.5e-3])
     worst = 0.0
     for _ in range(trials):
-        spec = nn.mlp([4, 6, 3], activation="identity", bn=True, bias=False)
+        spec = nn.mlp([4, 6, 3], activation="identity", bn=True)
         params = nn.init_params(spec, rng)
         x = 4.0 * rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
@@ -313,7 +313,7 @@ def check_curvature_scaling(trials, rng):
     scale so."""
     worst = 0.0
     alpha = 2.0
-    spec = nn.mlp([3, 5, 4, 2], activation="relu", bn=True, bias=False)
+    spec = nn.mlp([3, 5, 4, 2], activation="relu", bn=True)
     slices = nn.layer_slices(spec)
     first, last = slices[0], slices[-1]
     for _ in range(trials):
@@ -372,7 +372,7 @@ def check_kfac_linear_exactness(trials, rng):
             worst = max(worst, _rel(np.kron(s_l, a_l), dense[sl, sl]))
     # control: a ReLU net with at least one inactive unit is never exact
     for _ in range(RESAMPLE_TRIES):
-        spec = nn.mlp([3, 5, 2], activation="relu", bias=False)
+        spec = nn.mlp([3, 5, 2], activation="relu")
         params = nn.init_params(spec, rng)
         x = rng.normal(size=(7, 3))
         _, trace = nn.forward(spec, params, x, mode="train")

@@ -1,7 +1,7 @@
 """Shared test utilities: central finite differences, small builders, the
-reference Kronecker preconditioner, the separate weight and bias update
-formulas that the optimizers' single [W b] update replaced, and a parser of
-a run's metrics CSV."""
+reference Kronecker preconditioner, per-optimizer reference update formulas
+that the optimizers' single update rule must reproduce, and a parser of a
+run's metrics CSV."""
 
 import csv
 import dataclasses
@@ -38,15 +38,10 @@ def central_diff_jacobian(f, x, h=1e-6):
     return jac
 
 
-def flatten_grads(spec, s_grads, trace):
+def flatten_grads(s_grads, trace):
     """The gradients of `nn.vjp`'s pre-activation gradients in the canonical
-    parameter flattening: per layer ds^T a, then ds summed over rows."""
-    parts = []
-    for ds, a in zip(s_grads, trace.layer_inputs):
-        parts.append((ds.T @ a).ravel())
-        if spec.use_bias:
-            parts.append(ds.sum(axis=0))
-    return np.concatenate(parts)
+    parameter flattening: per layer ds^T a."""
+    return np.concatenate([(ds.T @ a).ravel() for ds, a in zip(s_grads, trace.layer_inputs)])
 
 
 def loss_grad_pairs(spec, params, x, y):
@@ -69,8 +64,8 @@ def kfac_batch_step(state, spec, params, batch, coupling=optim.Coupling()):
                            coupling)
 
 
-def random_net(rng, dims=(4, 5, 3), activation=nn.RELU, bn=False, bias=False):
-    spec = nn.mlp(dims, activation=activation, bn=bn, bias=bias)
+def random_net(rng, dims=(4, 5, 3), activation=nn.RELU, bn=False):
+    spec = nn.mlp(dims, activation=activation, bn=bn)
     params = nn.init_params(spec, rng)
     return spec, params
 
@@ -107,23 +102,20 @@ def kron_precondition(a, s, v, lam):
 
 # --- reference optimizer updates --------------------------------------------
 #
-# Weight and bias updated by separate formulas, each optimizer with its own
-# coupling branches: the arithmetic the single [W b] update must reproduce
-# bit for bit.  States are plain namespaces with separate bias buffers.
+# Each optimizer with its own coupling branches: the arithmetic the single
+# update rule must reproduce bit for bit.  States are plain namespaces.
 
 
 def ref_sgd_state(eta, momentum=0.0):
-    return SimpleNamespace(eta=eta, momentum=momentum, velocities=None, bias_velocities=None)
+    return SimpleNamespace(eta=eta, momentum=momentum, velocities=None)
 
 
 def ref_adam_state(eta):
-    return SimpleNamespace(eta=eta, beta1=0.9, beta2=0.999, eps=1e-8, step=0,
-                           m=None, v=None, m_bias=None, v_bias=None)
+    return SimpleNamespace(eta=eta, beta1=0.9, beta2=0.999, eps=1e-8, step=0, m=None, v=None)
 
 
-def _split_grads(pairs, bias):
-    wgrads = [ds.T @ a for ds, a in pairs]
-    return wgrads, [ds.sum(axis=0) for ds, _ in pairs] if bias else None
+def _weight_grads(pairs):
+    return [ds.T @ a for ds, a in pairs]
 
 
 def _decays(coupling, mode, mask, l):
@@ -131,7 +123,7 @@ def _decays(coupling, mode, mask, l):
 
 
 def ref_sgd_step(state, params, pairs, coupling):
-    wgrads, bgrads = _split_grads(pairs, params.biases is not None)
+    wgrads = _weight_grads(pairs)
     n_layers = len(params.weights)
     mask = coupling.layer_mask(n_layers)
     eta, beta = state.eta, coupling.beta
@@ -154,21 +146,11 @@ def ref_sgd_step(state, params, pairs, coupling):
             new.weights[l] = params.weights[l] - eta * state.velocities[l]
             if _decays(coupling, optim.COUPLING_WD, mask, l):
                 new.weights[l] = new.weights[l] - (eta * beta) * params.weights[l]
-    if bgrads is not None:
-        if state.momentum == 0.0:
-            for l in range(n_layers):
-                new.biases[l] = params.biases[l] - eta * bgrads[l]
-        else:
-            if state.bias_velocities is None:
-                state.bias_velocities = [np.zeros_like(b) for b in params.biases]
-            for l in range(n_layers):
-                state.bias_velocities[l] = state.momentum * state.bias_velocities[l] + bgrads[l]
-                new.biases[l] = params.biases[l] - eta * state.bias_velocities[l]
     return new
 
 
 def ref_adam_step(state, params, pairs, coupling):
-    wgrads, bgrads = _split_grads(pairs, params.biases is not None)
+    wgrads = _weight_grads(pairs)
     n_layers = len(params.weights)
     mask = coupling.layer_mask(n_layers)
     if state.m is None:
@@ -189,25 +171,14 @@ def ref_adam_step(state, params, pairs, coupling):
         new.weights[l] = params.weights[l] - eta * direction
         if _decays(coupling, optim.COUPLING_WD, mask, l):
             new.weights[l] = new.weights[l] - (eta * beta) * params.weights[l]
-    if bgrads is not None:
-        if state.m_bias is None:
-            state.m_bias = [np.zeros_like(b) for b in params.biases]
-            state.v_bias = [np.zeros_like(b) for b in params.biases]
-        for l in range(n_layers):
-            g = bgrads[l]
-            state.m_bias[l] = state.beta1 * state.m_bias[l] + (1 - state.beta1) * g
-            state.v_bias[l] = state.beta2 * state.v_bias[l] + (1 - state.beta2) * g * g
-            direction = (state.m_bias[l] / corr1) / (np.sqrt(state.v_bias[l] / corr2) + state.eps)
-            new.biases[l] = params.biases[l] - eta * direction
     return new
 
 
 def ref_kfac_step(state, spec, params, batch, coupling):
     """K-FAC with the factor schedule of `optim.kfac_step` (an
-    `optim.KfacState` holds the factors), updating weights and biases from
-    separate slices of the preconditioned gradient.  An l2 layer forms its
-    gradient with the bias column and adds beta [W 0]; every other layer
-    hands the preconditioner its rank-n factors."""
+    `optim.KfacState` holds the factors).  An l2 layer forms its gradient
+    and adds beta W; every other layer hands the preconditioner its rank-n
+    factors."""
     x, y = batch
     if state.factors is None:
         state.factors = curvature.KfacFactors.zeros(spec)
@@ -225,22 +196,13 @@ def ref_kfac_step(state, spec, params, batch, coupling):
     for l in range(spec.n_layers):
         ds, a = s_grads[l], trace.layer_inputs[l]
         if _decays(coupling, optim.COUPLING_L2, mask, l):
-            grad = ds.T @ a
-            if spec.use_bias:
-                grad = np.hstack([grad, ds.sum(axis=0)[:, None]])
-                grad = grad + beta * np.hstack([params.weights[l], np.zeros((grad.shape[0], 1))])
-            else:
-                grad = grad + beta * params.weights[l]
+            grad = ds.T @ a + beta * params.weights[l]
         else:
-            grad = (ds, np.hstack([a, np.ones((a.shape[0], 1))]) if spec.use_bias else a)
+            grad = (ds, a)
         pre = curvature.apply_preconditioner(state.factors, l, grad)
         if not np.all(np.isfinite(pre)):
             raise NumericalError(f"layer {l}: preconditioned gradient is not finite")
-        if spec.use_bias:
-            new.weights[l] = params.weights[l] - eta * pre[:, :-1]
-            new.biases[l] = params.biases[l] - eta * pre[:, -1]
-        else:
-            new.weights[l] = params.weights[l] - eta * pre
+        new.weights[l] = params.weights[l] - eta * pre
         if _decays(coupling, optim.COUPLING_WD, mask, l):
             new.weights[l] = new.weights[l] - (eta * beta) * params.weights[l]
     state.step += 1

@@ -55,13 +55,10 @@ def test_criterion_2_sgd_couplings_agree_to_one_ulp():
     # weights directly must produce the same 1000-step trajectory.
     from wdlab import loss
 
-    spec = nn.mlp([5, 8, 3], activation="relu", bias=True)
+    spec = nn.mlp([5, 8, 3], activation="relu")
     rng = np.random.default_rng(7)
     params_l2 = nn.init_params(spec, rng)
-    params_wd = nn.NetworkParams(
-        weights=[w.copy() for w in params_l2.weights],
-        biases=[b.copy() for b in params_l2.biases],
-    )
+    params_wd = params_l2.copy()
     n_layers = spec.n_layers
     l2 = optim.Coupling(mode="l2", beta=3e-3, mask=optim.mask_preset("all", n_layers))
     wd = optim.Coupling(mode="weight_decay", beta=3e-3,

@@ -111,6 +111,7 @@ def test_bad_damping_fails_before_writing_anything(tmp_path, capsys):
     ("coupling.beta=nan", "beta must be finite"),
     ("optimizer.lam=nan", "lam must be finite"),
     ("run.seed=-1", "seed must be nonnegative"),
+    ("model.bias=yes", "every net is bias-free"),
 ])
 def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, override, message):
     out_dir = tmp_path / "run"
@@ -119,6 +120,22 @@ def test_bad_run_settings_fail_before_writing_anything(tmp_path, capsys, overrid
     code = cli.main(["train", "--config", str(ini), "--set", override])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nout = {out}\nepochs = 1\nepochs = 2\n", "option 'epochs' in section 'run' already exists"),
+    ("[run]\nout = {out}\n[run]\nepochs = 2\n", "section 'run' already exists"),
+    ("out = {out}\n", "File contains no section headers"),
+], ids=["duplicate-key", "duplicate-section", "no-section"])
+def test_malformed_ini_fails_before_writing_anything(tmp_path, capsys, text, message):
+    out_dir = tmp_path / "run"
+    ini = tmp_path / "run.ini"
+    ini.write_text(text.format(out=out_dir))
+    code = cli.main(["train", "--config", str(ini)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {ini}: malformed INI" in err and message in err
     assert not out_dir.exists()
 
 
@@ -353,6 +370,18 @@ def test_diag_flags_a_bn_checkpoint_without_statistics(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["diag", str(ckpt)]) == 0
     assert "mean 0 and variance 1" in capsys.readouterr().err
+
+
+def test_diag_refuses_a_checkpoint_of_a_net_with_biases(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(write_ini(tmp_path, tiny_config(tmp_path / "run")))]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    raw = ckpt.read_bytes()
+    assert raw.count(b'"use_bias": false') == 1
+    ckpt.write_bytes(raw.replace(b'"use_bias": false', b'"use_bias": true'))
+    capsys.readouterr()
+    assert cli.main(["diag", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "error: checkpoint: header key 'spec' is malformed" in err and "bias-free" in err
 
 
 def test_diag_rejects_a_malformed_checkpoint_header(tmp_path, capsys):

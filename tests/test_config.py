@@ -296,6 +296,14 @@ def test_ini_rejects_unknown_section_and_key():
         config.parse_config_text("[run]\nwarp = 9\n")
 
 
+def test_model_bias_accepts_only_no():
+    assert config.parse_config_text("[model]\nbias = no\n").bias is False
+    with pytest.raises(DomainError, match="model.bias: every net is bias-free"):
+        config.parse_config_text("[model]\nbias = yes\n")
+    with pytest.raises(DomainError, match="model.bias"):
+        config.apply_overrides(config.ExperimentConfig(), ["model.bias=yes"])
+
+
 def test_ini_rejects_malformed_value():
     with pytest.raises(DataFormatError, match="run.epochs"):
         config.parse_config_text("[run]\nepochs = many\n")

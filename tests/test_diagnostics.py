@@ -34,15 +34,15 @@ def test_effective_lr_rejects_zero_norm():
 
 
 def test_jacobian_norm_single_linear_layer():
-    spec = nn.mlp([1, 1], activation="identity", bias=False)
-    params = nn.NetworkParams(weights=[np.array([[2.0]])], biases=[None])
+    spec = nn.mlp([1, 1], activation="identity")
+    params = nn.NetworkParams(weights=[np.array([[2.0]])])
     got = diagnostics.probe_norms(spec, params, np.array([[0.3], [-1.2]]))[0]
     assert got == pytest.approx(4.0)
 
 
 def test_jacobian_norm_deep_linear_is_input_independent():
     rng = np.random.default_rng(5)
-    spec, params = random_net(rng, [4, 3, 2], activation="identity", bias=False)
+    spec, params = random_net(rng, [4, 3, 2], activation="identity")
     product = params.weights[1] @ params.weights[0]
     want = float(np.sum(product**2))
     for seed in (0, 1):
@@ -53,7 +53,7 @@ def test_jacobian_norm_deep_linear_is_input_independent():
 
 def test_jacobian_norm_matches_finite_differences_on_relu_net():
     rng = np.random.default_rng(11)
-    spec, params = random_net(rng, [5, 6, 3], activation="relu", bias=True)
+    spec, params = random_net(rng, [5, 6, 3], activation="relu")
     x = rng.normal(size=(4, 5))
 
     def per_example(row):
@@ -70,7 +70,7 @@ def test_jacobian_norm_matches_finite_differences_on_relu_net():
 
 def test_jacobian_norm_uses_eval_mode_bn():
     rng = np.random.default_rng(21)
-    spec, params = random_net(rng, [4, 5, 3], activation="relu", bias=False, bn=True)
+    spec, params = random_net(rng, [4, 5, 3], activation="relu", bn=True)
     x = rng.normal(size=(8, 4))
     state = nn.BnState.fresh(spec)
     nn.forward(spec, params, x, mode="train", bn_state=state)  # populate running stats
@@ -88,7 +88,7 @@ def test_jacobian_norm_uses_eval_mode_bn():
 
 
 def test_jacobian_norm_rejects_empty_input():
-    spec = nn.mlp([2, 2], activation="identity", bias=False)
+    spec = nn.mlp([2, 2], activation="identity")
     params = nn.init_params(spec, np.random.default_rng(0))
     with pytest.raises(DegenerateError):
         diagnostics.probe_norms(spec, params, np.zeros((0, 2)))
@@ -101,7 +101,7 @@ def test_jacobian_norm_equals_block_norm_over_depth_on_whitened_linear_net():
     # On a bias-free linear net with exactly whitened inputs the layerwise
     # block norm equals (depth+1) times the mean squared input Jacobian.
     rng = np.random.default_rng(33)
-    spec, params = random_net(rng, [6, 5, 4], activation="identity", bias=False)
+    spec, params = random_net(rng, [6, 5, 4], activation="identity")
     raw = rng.normal(size=(40, 6))
     cov = raw.T @ raw / raw.shape[0]
     evals, evecs = np.linalg.eigh(cov)
@@ -115,7 +115,7 @@ def test_jacobian_norm_equals_block_norm_over_depth_on_whitened_linear_net():
 
 
 def _bn_net(rng, dims=(4, 6, 5, 3)):
-    return random_net(rng, list(dims), activation="relu", bias=False, bn=True)
+    return random_net(rng, list(dims), activation="relu", bn=True)
 
 
 def test_norm_transfer_sets_masked_norms_exactly():
@@ -186,8 +186,8 @@ def test_norm_transfer_does_not_mutate_input():
 
 
 def test_evaluate_perfect_classifier():
-    spec = nn.mlp([2, 2], activation="identity", bias=False)
-    params = nn.NetworkParams(weights=[np.eye(2) * 5.0], biases=[None])
+    spec = nn.mlp([2, 2], activation="identity")
+    params = nn.NetworkParams(weights=[np.eye(2) * 5.0])
     x = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, 0.5]])
     y = np.array([0, 1, 0])
     value, acc = diagnostics.evaluate(spec, params, x, y)
@@ -196,8 +196,8 @@ def test_evaluate_perfect_classifier():
 
 
 def test_evaluate_accuracy_counts_argmax_matches():
-    spec = nn.mlp([2, 2], activation="identity", bias=False)
-    params = nn.NetworkParams(weights=[np.eye(2)], biases=[None])
+    spec = nn.mlp([2, 2], activation="identity")
+    params = nn.NetworkParams(weights=[np.eye(2)])
     x = np.array([[3.0, 0.0], [3.0, 0.0], [0.0, 3.0], [0.0, 3.0]])
     y = np.array([0, 1, 1, 1])
     _, acc = diagnostics.evaluate(spec, params, x, y)
@@ -206,7 +206,7 @@ def test_evaluate_accuracy_counts_argmax_matches():
 
 def test_evaluate_forwards_near_equal_blocks_of_at_most_seed_rows(monkeypatch):
     rng = np.random.default_rng(12)
-    spec, params = random_net(rng, [6, 8, 8, 3], activation="relu", bn=True, bias=True)
+    spec, params = random_net(rng, [6, 8, 8, 3], activation="relu", bn=True)
     bn_state = nn.BnState.fresh(spec)
     nn.forward(spec, params, rng.normal(size=(16, 6)), mode="train", bn_state=bn_state)
     x = rng.normal(size=(23, 6))
@@ -237,7 +237,7 @@ def test_evaluate_forwards_near_equal_blocks_of_at_most_seed_rows(monkeypatch):
 
 def _small_run_record(epoch=0, probe=True, traces=()):
     rng = np.random.default_rng(40 + epoch)
-    spec, params = random_net(rng, [3, 4, 2], activation="relu", bias=False)
+    spec, params = random_net(rng, [3, 4, 2], activation="relu")
     x_train = rng.normal(size=(12, 3))
     y_train = rng.integers(0, 2, size=12)
     x_test = rng.normal(size=(8, 3))
@@ -302,7 +302,7 @@ def _probe_setup(activation):
     """The 6-8-3 bias-free, BN-free net with 20 evaluation rows and the
     first 10 as probe rows."""
     rng = np.random.default_rng(46)
-    spec, params = random_net(rng, [6, 8, 3], activation=activation, bias=False)
+    spec, params = random_net(rng, [6, 8, 3], activation=activation)
     x = rng.normal(size=(20, 6))
     y = rng.integers(0, 3, size=20)
     return spec, params, (x, y), x[:10]

@@ -62,14 +62,13 @@ def test_forward_identity_net_is_matrix_chain():
     assert len(trace.pre_activations) == 2
 
 
-def test_forward_relu_and_bias():
-    spec = nn.NetworkSpec((2, 2, 1), activation=nn.RELU, use_bias=True)
+def test_forward_relu():
+    spec = nn.NetworkSpec((2, 2, 1), activation=nn.RELU)
     params = nn.NetworkParams(
-        weights=[np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])],
-        biases=[np.array([0.0, -1.0]), np.array([0.5])],
+        weights=[np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([[1.25, 1.0]])],
     )
     logits, _ = nn.forward(spec, params, np.array([[2.0, 0.5]]))
-    # relu([2, -0.5]) = [2, 0]; output = 2 + 0 + 0.5
+    # relu([2, -1]) = [2, 0]; output = 1.25 * 2 + 0
     assert_allclose(logits, [[2.5]], rtol=1e-15)
 
 
@@ -152,14 +151,11 @@ def test_batchnorm_scale_invariance_under_layer_rescaling():
 # --- backward ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("activation,bias", [(nn.IDENTITY, False), (nn.IDENTITY, True), (nn.RELU, False), (nn.RELU, True)])
-def test_backward_matches_finite_differences(activation, bias):
+@pytest.mark.parametrize("activation", [nn.IDENTITY, nn.RELU])
+def test_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(6)
-    spec = nn.NetworkSpec((4, 6, 5, 3), activation=activation, use_bias=bias)
+    spec = nn.NetworkSpec((4, 6, 5, 3), activation=activation)
     params = nn.init_params(spec, rng)
-    if bias:
-        for b in params.biases:
-            b[:] = rng.normal(size=b.shape) * 0.3
     x = rng.normal(size=(5, 4))
     seed = rng.normal(size=(5, 3))
     logits, trace = nn.forward(spec, params, x)
@@ -168,7 +164,7 @@ def test_backward_matches_finite_differences(activation, bias):
     s_grads, _ = nn.vjp(spec, params, trace, seed)
     theta = nn.flatten_params(spec, params)
     fd = central_diff_grad(seeded_scalar_loss(spec, x, seed), theta)
-    assert_allclose(flatten_grads(spec, s_grads, trace), fd, atol=2e-8, rtol=1e-6)
+    assert_allclose(flatten_grads(s_grads, trace), fd, atol=2e-8, rtol=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -191,7 +187,7 @@ def test_backward_through_batchnorm_matches_finite_differences(mode):
         seeded_scalar_loss(spec, x, seed, mode=mode, bn_state=None if mode == "train" else state),
         theta,
     )
-    assert_allclose(flatten_grads(spec, s_grads, trace), fd, atol=5e-8, rtol=1e-5)
+    assert_allclose(flatten_grads(s_grads, trace), fd, atol=5e-8, rtol=1e-5)
 
 
 def test_backward_input_gradient_matches_finite_differences():
@@ -211,18 +207,18 @@ def test_backward_input_gradient_matches_finite_differences():
 
 
 def test_backward_s_grads_chain_rule_identity():
-    # dL/dW_l = (dL/ds_l)^T a_l and dL/db_l = sum of dL/ds_l rows: the batch
-    # backward's pairs give the seed-weighted sum of the per-example
-    # Jacobians, which seed every (example, output) pair on its own
+    # dL/dW_l = (dL/ds_l)^T a_l: the batch backward's pairs give the
+    # seed-weighted sum of the per-example Jacobians, which seed every
+    # (example, output) pair on its own
     rng = np.random.default_rng(9)
-    spec = nn.mlp((4, 6, 3), bn=True, bias=True)
+    spec = nn.mlp((4, 6, 3), bn=True)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(6, 4))
     seed = rng.normal(size=(6, 3))
     _, trace = nn.forward(spec, params, x)
     s_grads, _ = nn.vjp(spec, params, trace, seed)
     want = np.einsum("nk,nkp->p", seed, nn.param_jacobian(spec, params, trace))
-    assert_allclose(flatten_grads(spec, s_grads, trace), want, rtol=1e-12, atol=1e-15)
+    assert_allclose(flatten_grads(s_grads, trace), want, rtol=1e-12, atol=1e-15)
 
 
 def test_backward_rejects_mismatched_seed():
@@ -274,7 +270,7 @@ def test_input_jacobian_rejects_coupled_train_mode_bn():
 
 def test_param_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
-    spec = nn.NetworkSpec((3, 5, 4, 2), has_bn=True, use_bias=False)
+    spec = nn.NetworkSpec((3, 5, 4, 2), has_bn=True)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(3, 3)) * 2
     _, trace = nn.forward(spec, params, x, mode="eval")
@@ -293,9 +289,9 @@ def test_param_jacobian_matches_finite_differences():
 
 def test_param_jacobian_through_train_mode_bn_matches_finite_differences():
     # each (example, output) row includes the example's effect on the batch
-    # statistics; with biases the trailing bias blocks are checked too
+    # statistics
     rng = np.random.default_rng(14)
-    spec = nn.NetworkSpec((3, 5, 4, 2), has_bn=True, use_bias=True)
+    spec = nn.NetworkSpec((3, 5, 4, 2), has_bn=True)
     params = nn.init_params(spec, rng)
     x = rng.normal(size=(4, 3)) * 2
     _, trace = nn.forward(spec, params, x, mode="train")
@@ -323,46 +319,41 @@ def test_param_jacobian_respects_capacity_cap():
 
 def test_flatten_unflatten_round_trip():
     rng = np.random.default_rng(15)
-    spec = nn.NetworkSpec((3, 4, 2), use_bias=True)
+    spec = nn.NetworkSpec((3, 4, 2))
     params = nn.init_params(spec, rng)
-    params.biases[0][:] = [1.0, 2.0, 3.0, 4.0]
     theta = nn.flatten_params(spec, params)
     assert theta.shape == (spec.n_params,)
     back = nn.unflatten_params(spec, theta)
     for w1, w2 in zip(params.weights, back.weights):
         assert np.array_equal(w1, w2)
-    for b1, b2 in zip(params.biases, back.biases):
-        assert np.array_equal(b1, b2)
 
 
-def test_flatten_order_is_rowmajor_weights_then_bias():
-    spec = nn.NetworkSpec((2, 2, 1), use_bias=True)
+def test_flatten_order_is_rowmajor_weights():
+    spec = nn.NetworkSpec((2, 2, 1))
     params = nn.NetworkParams(
-        weights=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[7.0, 8.0]])],
-        biases=[np.array([5.0, 6.0]), np.array([9.0])],
+        weights=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0]])],
     )
-    assert np.array_equal(nn.flatten_params(spec, params), np.arange(1.0, 10.0))
+    assert np.array_equal(nn.flatten_params(spec, params), np.arange(1.0, 7.0))
 
 
 def test_layer_slices_partition_theta():
-    spec = nn.NetworkSpec((3, 5, 4, 2), use_bias=True)
+    spec = nn.NetworkSpec((3, 5, 4, 2))
     slices = nn.layer_slices(spec)
     assert slices[0].start == 0
     assert slices[-1].stop == spec.n_params
     for a, b in zip(slices, slices[1:]):
         assert a.stop == b.start
-    assert slices[0].stop - slices[0].start == 5 * 3 + 5
+    assert slices[0].stop - slices[0].start == 5 * 3
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
-    bias=st.booleans(),
 )
-def test_flatten_round_trip_property(seed, dims, bias):
+def test_flatten_round_trip_property(seed, dims):
     rng = np.random.default_rng(seed)
-    spec = nn.NetworkSpec(tuple(dims), use_bias=bias)
+    spec = nn.NetworkSpec(tuple(dims))
     params = nn.init_params(spec, rng)
     theta = nn.flatten_params(spec, params)
     again = nn.flatten_params(spec, nn.unflatten_params(spec, theta))
@@ -389,14 +380,13 @@ def test_scale_layer_and_norms():
 
 
 def test_init_params_is_seed_deterministic_and_shaped():
-    spec = nn.mlp((10, 20, 5), bias=True)
+    spec = nn.mlp((10, 20, 5))
     a = nn.init_params(spec, np.random.default_rng(42))
     b = nn.init_params(spec, np.random.default_rng(42))
     for w1, w2 in zip(a.weights, b.weights):
         assert np.array_equal(w1, w2)
     assert a.weights[0].shape == (20, 10)
     assert a.weights[1].shape == (5, 20)
-    assert np.all(a.biases[0] == 0)
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -405,7 +395,7 @@ def test_init_params_is_seed_deterministic_and_shaped():
 @pytest.mark.parametrize("fmt", ["binary"])
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, fmt):
     rng = np.random.default_rng(16)
-    spec = nn.NetworkSpec((4, 6, 5, 3), has_bn=True, use_bias=False)
+    spec = nn.NetworkSpec((4, 6, 5, 3), has_bn=True)
     params = nn.init_params(spec, rng)
     state = nn.BnState.fresh(spec)
     nn.forward(spec, params, rng.normal(size=(8, 4)), mode="train", bn_state=state)

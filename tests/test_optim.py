@@ -342,7 +342,7 @@ def test_kfac_step_fisher_factors_equal_a_direct_estimate():
 
 def full_route_kfac_step(state, spec, params, batch, coupling):
     """Reference K-FAC step that forms every layer's gradient as an
-    out x in(+1) matrix before preconditioning."""
+    out x in matrix before preconditioning."""
     x, y = batch
     if state.factors is None:
         state.factors = curvature.KfacFactors.zeros(spec)
@@ -357,25 +357,20 @@ def full_route_kfac_step(state, spec, params, batch, coupling):
     mask = coupling.layer_mask(spec.n_layers)
     new = params.copy()
     for l, (ds, a) in enumerate(zip(s_grads, trace.layer_inputs)):
-        v, w = ds.T @ a, params.weights[l]
-        if spec.use_bias:
-            v = np.hstack([v, ds.sum(axis=0)[:, None]])
-            w = np.hstack([w, np.zeros((w.shape[0], 1))])
+        v = ds.T @ a
         if coupling.mode == optim.COUPLING_L2 and mask[l]:
-            v = v + coupling.beta * w
+            v = v + coupling.beta * params.weights[l]
         pre = curvature.apply_preconditioner(state.factors, l, v)
-        new.weights[l] = params.weights[l] - state.eta * (pre[:, :-1] if spec.use_bias else pre)
-        if spec.use_bias:
-            new.biases[l] = params.biases[l] - state.eta * pre[:, -1]
+        new.weights[l] = params.weights[l] - state.eta * pre
         if coupling.mode == optim.COUPLING_WD and mask[l]:
             new.weights[l] = new.weights[l] - (state.eta * coupling.beta) * params.weights[l]
     state.step += 1
     return new
 
 
-def kfac_pair(metric, bias, bn=False):
+def kfac_pair(metric, bn=False):
     """Two identical K-FAC states with a 3-layer net and a batch."""
-    spec = nn.mlp((6, 9, 7, 3), bn=bn, bias=bias)
+    spec = nn.mlp((6, 9, 7, 3), bn=bn)
     params = nn.init_params(spec, np.random.default_rng(20))
     x = np.random.default_rng(21).normal(size=(5, 6))
     y = np.random.default_rng(22).integers(0, 3, size=5)
@@ -385,12 +380,11 @@ def kfac_pair(metric, bias, bn=False):
     return spec, params, (x, y), states
 
 
-@pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("metric", ["fisher", "gn"])
-def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, bias):
+def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric):
     # beta*W is full rank, so l2 layers keep the formed gradient and its
     # exact arithmetic, across steps with and without an inversion
-    spec, params, batch, (state, ref_state) = kfac_pair(metric, bias)
+    spec, params, batch, (state, ref_state) = kfac_pair(metric)
     coupling = optim.Coupling("l2", beta=0.1)
     ref = params
     for _ in range(3):
@@ -398,15 +392,12 @@ def test_kfac_l2_everywhere_is_bit_identical_to_the_full_route(metric, bias):
         ref = full_route_kfac_step(ref_state, spec, ref, batch, coupling)
         for l in range(spec.n_layers):
             assert np.array_equal(params.weights[l], ref.weights[l])
-            if bias:
-                assert np.array_equal(params.biases[l], ref.biases[l])
 
 
-@pytest.mark.parametrize("bias", [False, True])
-def test_kfac_masked_l2_routes_each_layer(bias, monkeypatch):
+def test_kfac_masked_l2_routes_each_layer(monkeypatch):
     # l2 layers take the formed gradient (bit-identical to the full route),
     # the others its rank-n factors (equal up to rounding)
-    spec, params, batch, (state, ref_state) = kfac_pair("gn", bias, bn=True)
+    spec, params, batch, (state, ref_state) = kfac_pair("gn", bn=True)
     coupling = optim.Coupling("l2", beta=0.1, mask=(True, False, False))
     routes = []
     apply = curvature.apply_preconditioner
@@ -426,39 +417,17 @@ def test_kfac_masked_l2_routes_each_layer(bias, monkeypatch):
         assert np.linalg.norm(new.weights[l] - ref.weights[l]) <= 1e-12 * np.linalg.norm(step)
 
 
-@pytest.mark.parametrize("kind", ["sgd", "adam", "kfac"])
-def test_bias_free_layers_are_never_hstacked(kind, monkeypatch):
-    spec, params, batch, (state, _) = kfac_pair("gn", bias=False)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a bias-free layer was hstacked")
-
-    monkeypatch.setattr(np, "hstack", forbidden)
-    for mode in optim.COUPLING_MODES:
-        coupling = optim.Coupling(mode, beta=0.1)
-        if kind == "kfac":
-            helpers.kfac_batch_step(state, spec, params, batch, coupling)
-            continue
-        pairs = loss_grad_pairs(spec, params, *batch)
-        if kind == "sgd":
-            optim.sgd_step(optim.SgdState(eta=0.1, momentum=0.9), params, pairs, coupling)
-        else:
-            optim.adam_step(optim.AdamState(eta=0.1), params, pairs, coupling)
-
-
-BIAS_NET_OPTIMIZERS = ["sgd", "sgd_momentum", "adam", "kfac_gn_factored", "kfac_fisher_factored"]
+REFERENCE_OPTIMIZERS = ["sgd", "sgd_momentum", "adam", "kfac_gn_factored", "kfac_fisher_factored"]
 
 
 @pytest.mark.parametrize("mode", optim.COUPLING_MODES)
-@pytest.mark.parametrize("kind", BIAS_NET_OPTIMIZERS)
-def test_bias_net_updates_match_the_separate_weight_bias_formulas(kind, mode):
-    # one [W b] matrix per layer moves exactly as the weight and bias
+@pytest.mark.parametrize("kind", REFERENCE_OPTIMIZERS)
+def test_updates_match_the_per_optimizer_reference_formulas(kind, mode):
+    # the one update rule moves each layer exactly as the per-optimizer
     # formulas of tests/helpers.py, on a masked coupling over 12 steps
-    spec = nn.mlp((6, 9, 7, 4), bias=True)
+    spec = nn.mlp((6, 9, 7, 4))
     rng = np.random.default_rng(30)
     params = nn.init_params(spec, rng)
-    for b in params.biases:
-        b[:] = 0.1 * rng.normal(size=b.shape)
     coupling = optim.Coupling(mode, beta=0.05, mask=(True, False, True))
     if kind.startswith("kfac"):
         metric = kind.split("_")[1]
@@ -485,11 +454,10 @@ def test_bias_net_updates_match_the_separate_weight_bias_formulas(kind, mode):
             ref = ref_step(ref_state, ref, loss_grad_pairs(spec, ref, x, y), coupling)
         for l in range(spec.n_layers):
             assert np.array_equal(params.weights[l], ref.weights[l])
-            assert np.array_equal(params.biases[l], ref.biases[l])
 
 
 def test_kfac_health_rows_at_each_inversion():
-    spec, params, batch, (state, _) = kfac_pair("gn", bias=True)
+    spec, params, batch, (state, _) = kfac_pair("gn")
     state.t_inv = 3
     for _ in range(4):
         params = helpers.kfac_batch_step(state, spec, params, batch, optim.Coupling())

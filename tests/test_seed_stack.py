@@ -17,22 +17,14 @@ from helpers import flatten_grads
 from wdlab import curvature, diagnostics, loss, nn
 from wdlab.errors import ContractError, ShapeError
 
-NETS = [
-    dict(bn=False, bias=False),
-    dict(bn=False, bias=True),
-    dict(bn=True, bias=False),
-    dict(bn=True, bias=True),
-]
-NET_IDS = ["plain", "bias", "bn", "bn-bias"]
+NETS = [dict(bn=False), dict(bn=True)]
+NET_IDS = ["plain", "bn"]
 
 
-def small_net(seed, bn, bias, dims=(6, 7, 5, 4)):
+def small_net(seed, bn, dims=(6, 7, 5, 4)):
     rng = np.random.default_rng(seed)
-    spec = nn.mlp(dims, bn=bn, bias=bias)
+    spec = nn.mlp(dims, bn=bn)
     params = nn.init_params(spec, rng)
-    if bias:
-        for b in params.biases:
-            b[:] = rng.normal(size=b.shape) * 0.2
     x = 2.0 * rng.normal(size=(9, dims[0]))
     return spec, params, x
 
@@ -74,8 +66,6 @@ def ref_kfac_gn_norm(spec, params, x):
 
 def ref_normalized_trace(kind, spec, params, x, layer):
     norm_sq = float(np.sum(params.weights[layer] ** 2))
-    if spec.use_bias:
-        norm_sq += float(np.sum(params.biases[layer] ** 2))
     logits, trace = nn.forward(spec, params, x, mode="train" if spec.has_bn else "eval")
     n, k = logits.shape
     probs = loss.softmax(logits)
@@ -88,12 +78,10 @@ def ref_normalized_trace(kind, spec, params, x, layer):
                 seed[i] = eye[c] if kind == "gn" else eye[c] - probs[i]
                 ds = nn.vjp(spec, params, trace, seed)[0][layer]
                 ssq = float(np.sum((ds.T @ trace.layer_inputs[layer]) ** 2))
-                if spec.use_bias:
-                    ssq += float(np.sum(ds.sum(axis=0) ** 2))
                 trace_raw += (1.0 if kind == "gn" else float(probs[i, c])) * ssq
     else:
         a = trace.layer_inputs[layer]
-        a_sq = np.sum(a * a, axis=1) + (1.0 if spec.use_bias else 0.0)
+        a_sq = np.sum(a * a, axis=1)
         for c in range(k):
             if kind == "gn":
                 seed, weights = one_hot(n, k, slice(None), c), np.ones(n)
@@ -125,7 +113,7 @@ def ref_param_jacobians(spec, params, trace):
     for i in range(n):
         for c in range(k):
             s_grads, _ = nn.vjp(spec, params, trace, one_hot(n, k, i, c))
-            jac[i, c] = flatten_grads(spec, s_grads, trace)
+            jac[i, c] = flatten_grads(s_grads, trace)
     return jac
 
 
@@ -147,7 +135,7 @@ def test_stacked_vjp_is_bit_identical_to_separate_seeds(net, mode):
 
 
 def test_vjp_stops_at_the_lowest_layer_needed():
-    spec, params, x = small_net(3, bn=True, bias=False)
+    spec, params, x = small_net(3, bn=True)
     logits, trace = nn.forward(spec, params, x, mode="train")
     seeds = nn.output_seeds(*logits.shape)
     full, _ = nn.vjp(spec, params, trace, seeds)
@@ -234,7 +222,7 @@ def test_probes_match_across_chunk_boundaries(net, monkeypatch):
 def test_jacobian_norm_makes_one_backward_per_chunk(monkeypatch):
     # the Jacobian and block GN norms share one forward of all rows and one
     # backward per chunk of output seeds
-    spec, params, x = small_net(5, bn=False, bias=False)
+    spec, params, x = small_net(5, bn=False)
     x = np.random.default_rng(6).normal(size=(50, spec.input_dim))
     forwards, calls = [], []
     true_forward, true_vjp = nn.forward, nn.vjp

@@ -56,7 +56,7 @@ def test_bias_free_nets_are_never_dead():
     first_draws_dead = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        spec = nn.mlp([2, 2, 2], activation="relu", bias=False)
+        spec = nn.mlp([2, 2, 2], activation="relu")
         params = nn.init_params(spec, rng)
         first_draws_dead += dead(spec, params, rng.normal(size=(4, 2)))
         spec, params, x, trace = verify._bias_free_net(np.random.default_rng(seed), [2, 2, 2],
@@ -159,7 +159,7 @@ def test_scaling_control_flags_an_output_block_that_scales(monkeypatch):
     # every second Jacobian is the rescaled net's; shrinking its output-layer
     # columns by alpha makes that block scale as 1/alpha^2 too
     true_jacobians = curvature.per_example_param_jacobians
-    out = nn.layer_slices(nn.mlp([3, 5, 4, 2], activation="relu", bn=True, bias=False))[-1]
+    out = nn.layer_slices(nn.mlp([3, 5, 4, 2], activation="relu", bn=True))[-1]
     calls = []
 
     def shrunk(spec, params, x):
