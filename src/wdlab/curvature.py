@@ -75,42 +75,34 @@ def curvature_from_jacobians(
     loss_kind: str = loss.CROSS_ENTROPY,
 ) -> np.ndarray:
     """Dense P x P curvature from a batch's logits (n x k) and per-example
-    Jacobians (n x k x P), as `per_example_param_jacobians` returns them.
+    Jacobians (n x k x P), as `per_example_param_jacobians` returns them;
+    each kind is one product over the Jacobians flattened to nk x P.
 
     gauss_newton:    E[J^T J]
     generalized_gn:  E[J^T H J] with H the output-layer loss Hessian
     fisher_exact:    E_x sum_y p(y|x) grad log p(y|x) grad log p(y|x)^T,
                      summing classes for cross-entropy and integrating the
                      unit-variance Gaussian analytically for squared error
+    Under squared error H = I, so every kind is the GN.
     """
     if kind not in CURVATURE_KINDS:
         raise DomainError(f"unknown curvature kind {kind!r}")
     if loss_kind not in loss.LOSS_KINDS:
         raise DomainError(f"unknown loss kind {loss_kind!r}")
     n, k, p_count = jac.shape
+    flat = jac.reshape(n * k, p_count)
 
-    if kind == GAUSS_NEWTON:
-        c = np.einsum("nkp,nkq->pq", jac, jac, optimize=True) / n
+    if kind == GAUSS_NEWTON or loss_kind == loss.SQUARED_ERROR:
+        c = flat.T @ flat / n
     elif kind == GENERALIZED_GN:
-        hess = np.stack([loss.output_hessian(loss_kind, z) for z in logits])
-        c = np.einsum("nkp,nkl,nlq->pq", jac, hess, jac, optimize=True) / n
-    elif loss_kind == loss.CROSS_ENTROPY:  # fisher_exact, summing classes
+        c = flat.T @ (loss.output_hessian(logits) @ jac).reshape(n * k, p_count) / n
+    else:  # cross-entropy fisher_exact, summing classes
         if k > CLASS_CAP:
             raise CapacityError(f"fisher_exact sums over {k} classes, cap is {CLASS_CAP}")
         probs = loss.softmax(logits)
-        eye = np.eye(k)
-        c = np.zeros((p_count, p_count))
-        for y in range(k):
-            g = np.einsum("nkp,nk->np", jac, eye[y] - probs, optimize=True)
-            c += (g * probs[:, y, None]).T @ g
-        c /= n
-    else:
-        # unit-variance Gaussian model: the target integral leaves one
-        # outer product per output coordinate
-        c = np.zeros((p_count, p_count))
-        for j in range(k):
-            c += jac[:, j, :].T @ jac[:, j, :]
-        c /= n
+        # row y of example i is its class score (e_y - p_i)^T J_i
+        scores = ((np.eye(k) - probs[:, None, :]) @ jac).reshape(n * k, p_count)
+        c = scores.T @ (probs.reshape(n * k, 1) * scores) / n
     return (c + c.T) / 2.0
 
 

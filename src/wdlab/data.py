@@ -71,11 +71,17 @@ def make_splits(dataset: Dataset, n_train: int, n_val: int, n_test: int, seed: i
     are reordered in place and shared with the result.  Sizes the pool cannot
     hold are refused before any row moves."""
     split = replace(dataset, n_train=n_train, n_val=n_val, n_test=n_test)
-    rows = np.random.default_rng(seed).permutation(dataset.n)[: n_train + n_val + n_test]
+    rows = split_rows(dataset.n, n_train, n_val, n_test, seed)
     if rows.size < dataset.n:  # a gather holds only the kept rows beside the pool
         return replace(split, x=dataset.x[rows], y=dataset.y[rows])
     _permute_rows(rows, split.x, split.y)
     return split
+
+
+def split_rows(n: int, n_train: int, n_val: int, n_test: int, seed: int) -> np.ndarray:
+    """The rows of an n-row pool that `make_splits` keeps, in split order:
+    the head of one seeded permutation."""
+    return np.random.default_rng(seed).permutation(n)[: n_train + n_val + n_test]
 
 
 _BLOCK_ROWS = 512  # rows one move copies through a temporary
@@ -133,9 +139,7 @@ def _parse_idx_images(blob: bytes, path) -> np.ndarray:
             f"(expected {need} bytes for {count} images of {rows}x{cols})"
         )
     pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
-    x = pixels.reshape(count, rows * cols).astype(np.float64)
-    x /= 255.0  # in place, so one float copy is held without relying on temporary elision
-    return x
+    return pixels.reshape(count, rows * cols)
 
 
 def _parse_idx_labels(blob: bytes, path) -> np.ndarray:
@@ -156,18 +160,17 @@ def _parse_idx_labels(blob: bytes, path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, count=count, offset=8).astype(np.int64)
 
 
-def load_mnist(image_path, label_path) -> Dataset:
-    """Read an IDX image/label file pair (gzip detected by magic bytes).
-
-    Pixels are scaled to [0, 1] and images flattened to rows.
-    """
+def load_mnist(image_path, label_path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an IDX image/label file pair (gzip detected by magic bytes): the
+    images flattened to rows of uint8 pixels, which `/ 255.0` scales to
+    [0, 1] with no float copy of the unscaled rows, and their labels."""
     images = _parse_idx_images(_read_maybe_gzip(image_path), image_path)
     labels = _parse_idx_labels(_read_maybe_gzip(label_path), label_path)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    return Dataset(x=images, y=labels, n_classes=10)
+    return images, labels
 
 
 # --- synthetic --------------------------------------------------------------

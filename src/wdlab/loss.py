@@ -2,7 +2,8 @@
 
 Softmax cross-entropy, reduced by the batch mean, is the training loss.
 Squared error is kept as the oracles' Gaussian output model: it carries a
-1/2 per example, so its output Hessian is exactly the identity.
+1/2 per example, so its output Hessian is exactly the identity, which the
+curvature constructions use without building it.
 """
 
 from __future__ import annotations
@@ -54,22 +55,21 @@ def loss_and_grad(logits, labels) -> tuple[float, np.ndarray]:
     return loss, grad / n
 
 
-def output_hessian(kind: str, logits) -> np.ndarray:
-    """Hessian of the per-example loss with respect to the logits.
+def output_hessian(logits) -> np.ndarray:
+    """Hessians of the per-example cross-entropy with respect to the logits,
+    one per row of the n x k logits: n x k x k.
 
-    diag(p) - p p^T for softmax cross-entropy (PSD, rows sum to zero, and it
-    vanishes as p collapses onto one class); the identity for squared error.
+    Each is diag(p) - p p^T (PSD, rows sum to zero, and it vanishes as p
+    collapses onto one class).
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError(f"output_hessian takes a single logit vector, got shape {z.shape}")
-    k = z.shape[0]
-    if kind == CROSS_ENTROPY:
-        p = softmax(z)
-        return np.diag(p) - np.outer(p, p)
-    if kind == SQUARED_ERROR:
-        return np.eye(k)
-    raise DomainError(f"unknown loss kind {kind!r}")
+    if z.ndim != 2:
+        raise ShapeError(f"logits must be n x k, got shape {z.shape}")
+    p = softmax(z)
+    hess = -p[:, :, None] * p[:, None, :]
+    diag = np.arange(z.shape[1])
+    hess[:, diag, diag] += p
+    return hess
 
 
 def sample_targets(p, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DataFormatError, DegenerateError, DomainError, ShapeError
+from .errors import (CapacityError, ContractError, DataFormatError, DegenerateError,
+                     DomainError, NumericalError, ShapeError)
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -176,8 +177,8 @@ def check_params(spec: NetworkSpec, params: NetworkParams) -> None:
     for l, w in enumerate(params.weights):
         if w.shape != spec.weight_shape(l):
             raise ShapeError(f"layer {l}: weight shape {w.shape} != {spec.weight_shape(l)}")
-        if not np.all(np.isfinite(w)):
-            raise ShapeError(f"layer {l}: non-finite weights")
+        if not np.isfinite(w).all():
+            raise NumericalError(f"layer {l}: non-finite weights")
 
 
 def _activate(spec: NetworkSpec, z: np.ndarray) -> np.ndarray:
@@ -226,15 +227,16 @@ def forward(
         if spec.bn_at(l):
             if mode == "train":
                 mean = s.mean(axis=0)
-                var = s.var(axis=0)  # biased
+                z = s - mean
+                var = (z * z).mean(axis=0)  # biased, as np.var computes it
                 if bn_state is not None:
                     bn_state.update(l, mean, var)
             else:
                 state = bn_state or BnState.fresh(spec)
-                mean = state.means[l]
+                z = s - state.means[l]
                 var = state.variances[l]
             std = np.sqrt(var + BN_EPSILON)
-            z = (s - mean) / std
+            z /= std  # the centered rows become the normalized ones in place
             trace.bn_stds.append(std)
             trace.bn_normalized.append(z)
         else:

@@ -57,26 +57,29 @@ class RunResult:
 def build_dataset(cfg: config_mod.ExperimentConfig) -> data.Dataset:
     """Materialize the configured dataset with its train/val/test split; an
     MNIST pool the configured net cannot take is refused."""
-    total = cfg.n_train + cfg.n_val + cfg.n_test
+    sizes = (cfg.n_train, cfg.n_val, cfg.n_test)
     if cfg.dataset == "mnist":
-        ds = data.load_mnist(cfg.mnist_images, cfg.mnist_labels)
-        if ds.x.shape[1] != cfg.layer_dims[0]:
-            raise ShapeError(f"MNIST images have {ds.x.shape[1]} pixels, model.dims "
+        pixels, labels = data.load_mnist(cfg.mnist_images, cfg.mnist_labels)
+        if pixels.shape[1] != cfg.layer_dims[0]:
+            raise ShapeError(f"MNIST images have {pixels.shape[1]} pixels, model.dims "
                              f"starts at {cfg.layer_dims[0]}")
-        if ds.y.max(initial=0) >= cfg.layer_dims[-1]:
-            raise DomainError(f"MNIST label {ds.y.max()} needs more than the "
+        if labels.max(initial=0) >= cfg.layer_dims[-1]:
+            raise DomainError(f"MNIST label {labels.max()} needs more than the "
                               f"{cfg.layer_dims[-1]} classes of model.dims")
-        if cfg.whiten_inputs:
-            ds = data.Dataset(x=data.whiten(ds.x), y=ds.y, n_classes=ds.n_classes)
+        if not cfg.whiten_inputs:  # only the kept rows become floats; whitening needs them all
+            rows = data.split_rows(labels.size, *sizes, seed=cfg.seed)
+            return data.Dataset(x=pixels[rows] / 255.0, y=labels[rows], n_classes=10,
+                                n_train=cfg.n_train, n_val=cfg.n_val, n_test=cfg.n_test)
+        ds = data.Dataset(x=data.whiten(pixels / 255.0), y=labels, n_classes=10)
     else:
         ds = data.gen_synthetic(
-            total,
+            sum(sizes),
             cfg.layer_dims[0],
             cfg.layer_dims[-1],
             seed=cfg.seed,
             whiten_inputs=cfg.whiten_inputs,
         )
-    return data.make_splits(ds, cfg.n_train, cfg.n_val, cfg.n_test, seed=cfg.seed)
+    return data.make_splits(ds, *sizes, seed=cfg.seed)
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -223,7 +226,7 @@ def train(
                         x_train[batch], y_train[batch],
                     )
                     failure = None if np.isfinite(value) else f"non-finite loss {value}"
-                except NumericalError as exc:  # a K-FAC step overflowed its gradient or factors
+                except NumericalError as exc:  # overflowed weights, or a K-FAC gradient or factor
                     value, failure = None, str(exc)
                 if failure is not None:
                     raise TrainingDiverged(
@@ -235,7 +238,14 @@ def train(
                 params = diagnostics.norm_transfer(
                     spec, params, norm_plan.norms_by_epoch[epoch], norm_plan.mask
                 )
-            records.append(record_epoch(cfg, spec, dataset, epoch, params, bn_state, log))
+            try:
+                records.append(record_epoch(cfg, spec, dataset, epoch, params, bn_state, log))
+            except NumericalError as exc:  # the epoch's last step overflowed the weights
+                raise TrainingDiverged(
+                    f"{exc} at the epoch {epoch} record",
+                    record={"epoch": epoch, "offset": None, "loss": None,
+                            "eta": opt_state.eta, "beta": coupling.beta},
+                ) from exc
     finally:
         # a diverged K-FAC run keeps the spectra that led up to it
         if isinstance(opt_state, optim.KfacState):

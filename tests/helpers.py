@@ -1,7 +1,7 @@
 """Shared test utilities: central finite differences, small builders, the
-reference Kronecker preconditioner, per-optimizer reference update formulas
-that the optimizers' single update rule must reproduce, and a parser of a
-run's metrics CSV."""
+reference dense curvature, the reference Kronecker preconditioner,
+per-optimizer reference update formulas that the optimizers' single update
+rule must reproduce, and a parser of a run's metrics CSV."""
 
 import csv
 import dataclasses
@@ -68,6 +68,27 @@ def random_net(rng, dims=(4, 5, 3), activation=nn.RELU, bn=False):
     spec = nn.mlp(dims, activation=activation, bn=bn)
     params = nn.init_params(spec, rng)
     return spec, params
+
+
+def ref_curvature(kind, logits, jac, loss_kind):
+    """Dense curvature by explicit per-example loops: sum_i J_i^T H_i J_i / n
+    for the generalized GN, and with H = I for the GN and every squared-error
+    kind; sum_i sum_y p_y g_y g_y^T / n with g_y = (e_y - p)^T J_i for the
+    cross-entropy Fisher."""
+    n, k, p_count = jac.shape
+    total = np.zeros((p_count, p_count))
+    for z, j in zip(logits, jac):
+        e = np.exp(z - z.max())
+        p = e / e.sum()
+        if loss_kind == loss.SQUARED_ERROR or kind == curvature.GAUSS_NEWTON:
+            total += j.T @ j
+        elif kind == curvature.GENERALIZED_GN:
+            total += j.T @ (np.diag(p) - np.outer(p, p)) @ j
+        else:
+            for y in range(k):
+                g = (np.eye(k)[y] - p) @ j
+                total += p[y] * np.outer(g, g)
+    return total / n
 
 
 def _symmetric_matrix(m, name):

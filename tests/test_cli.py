@@ -75,6 +75,21 @@ def test_train_reports_an_overflowing_kfac_step_as_divergence(tmp_path, capsys):
     assert "'epoch':" in err and "'offset':" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_reports_overflowing_weights_as_divergence(tmp_path, capsys):
+    # BN keeps the loss finite while layer 0's weights overflow
+    code = cli.main(["train", "--seed", "1", "--out", str(tmp_path / "run"), *[
+        arg for setting in (
+            "model.dims=8,6,6,3", "model.batchnorm=yes", "model.activation=identity",
+            "optimizer.eta=1e200", "data.train=64", "data.val=0", "data.test=16",
+            "run.batch=16", "run.epochs=3", "run.schedule=", "diagnostics.probe=0")
+        for arg in ("--set", setting)]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: layer 0: non-finite weights at epoch")
+    assert "error:" not in err
+
+
 def test_bad_config_value_is_a_user_error(tmp_path, capsys):
     ini = write_ini(tmp_path, tiny_config(tmp_path / "run"))
     code = cli.main(["train", "--config", str(ini), "--set", "optimizer.kind=magic"])

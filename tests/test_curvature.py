@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_diff_grad, central_diff_jacobian, kron_precondition
+from helpers import central_diff_grad, central_diff_jacobian, kron_precondition, ref_curvature
 from wdlab import curvature, diagnostics, loss, nn
 from wdlab.errors import (
     CapacityError,
@@ -145,6 +145,25 @@ def test_curvature_from_jacobians_is_dense_curvature(bn):
         curvature.curvature_from_jacobians("hessian", logits, jac)
     with pytest.raises(DomainError):
         curvature.curvature_from_jacobians(curvature.FISHER_EXACT, logits, jac, "hinge")
+
+
+@pytest.mark.parametrize("loss_kind", loss.LOSS_KINDS)
+@pytest.mark.parametrize("p_count", [1, 40])
+@pytest.mark.parametrize("k", [1, 3, 16])
+@pytest.mark.parametrize("n", [1, 5])
+def test_curvature_from_jacobians_matches_per_example_loops(n, k, p_count, loss_kind):
+    rng = np.random.default_rng([n, k, p_count])
+    logits = rng.normal(size=(n, k)) * 2
+    jac = rng.normal(size=(n, k, p_count))
+    for kind in curvature.CURVATURE_KINDS:
+        got = curvature.curvature_from_jacobians(kind, logits, jac, loss_kind)
+        want = ref_curvature(kind, logits, jac, loss_kind)
+        assert np.array_equal(got, got.T), kind
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), kind
+    if loss_kind == loss.CROSS_ENTROPY:
+        with pytest.raises(CapacityError):
+            curvature.curvature_from_jacobians(curvature.FISHER_EXACT, rng.normal(size=(n, 17)),
+                                               rng.normal(size=(n, 17, p_count)))
 
 
 def test_per_example_jacobians_through_bn_match_finite_differences():

@@ -39,12 +39,13 @@ def idx_pair(tmp_path):
 
 def test_load_mnist_shapes_and_scaling(idx_pair):
     img_path, lbl_path, images, labels = idx_pair
-    ds = data.load_mnist(img_path, lbl_path)
-    assert ds.x.shape == (5, 784)
-    assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0
-    npt.assert_array_equal(ds.y, labels)
-    # scaling in place divides each pixel exactly as raw / 255.0 does
-    npt.assert_array_equal(ds.x, images.reshape(5, -1).astype(np.float64) / 255.0)
+    pixels, y = data.load_mnist(img_path, lbl_path)
+    assert pixels.shape == (5, 784) and pixels.dtype == np.uint8
+    npt.assert_array_equal(y, labels)
+    x = pixels / 255.0
+    assert x.min() >= 0.0 and x.max() <= 1.0
+    # the division of uint8 pixels rounds each exactly as float64(raw) / 255.0
+    npt.assert_array_equal(x, images.reshape(5, -1).astype(np.float64) / 255.0)
 
 
 def test_load_mnist_gzip_detected_by_magic(tmp_path, idx_pair):
@@ -55,16 +56,16 @@ def test_load_mnist_gzip_detected_by_magic(tmp_path, idx_pair):
     gz_lbl.write_bytes(gzip.compress(lbl_path.read_bytes()))
     plain = data.load_mnist(img_path, lbl_path)
     packed = data.load_mnist(gz_img, gz_lbl)
-    npt.assert_array_equal(plain.x, packed.x)
-    npt.assert_array_equal(plain.y, packed.y)
+    npt.assert_array_equal(plain[0], packed[0])
+    npt.assert_array_equal(plain[1], packed[1])
 
 
 def test_load_mnist_first_image_checksum_is_stable(idx_pair):
     # golden-file check: the ingest of a fixed byte stream is reproducible
     img_path, lbl_path, _, _ = idx_pair
-    first = data.load_mnist(img_path, lbl_path).x[0]
+    first = data.load_mnist(img_path, lbl_path)[0][0]
     digest = hashlib.sha256(first.tobytes()).hexdigest()
-    again = hashlib.sha256(data.load_mnist(img_path, lbl_path).x[0].tobytes()).hexdigest()
+    again = hashlib.sha256(data.load_mnist(img_path, lbl_path)[0][0].tobytes()).hexdigest()
     assert digest == again
 
 

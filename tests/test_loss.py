@@ -93,41 +93,40 @@ def test_cross_entropy_rejects_bad_labels():
 
 def test_output_hessian_cross_entropy_closed_form_and_fd():
     rng = np.random.default_rng(4)
-    z = rng.normal(size=5)
-    h = loss.output_hessian(loss.CROSS_ENTROPY, z)
-    p = loss.softmax(z)
-    assert_allclose(h, np.diag(p) - np.outer(p, p), rtol=1e-12)
-    # independent route: Jacobian of the per-example gradient p(z) - onehot
-    fd = central_diff_jacobian(lambda v: loss.softmax(v) - np.eye(5)[2], z)
-    assert_allclose(h, fd, atol=1e-8)
+    z = rng.normal(size=(3, 5))
+    h = loss.output_hessian(z)
+    assert h.shape == (3, 5, 5)
+    for zi, hi in zip(z, h):
+        p = loss.softmax(zi)
+        assert np.array_equal(hi, np.diag(p) - np.outer(p, p))
+        # independent route: Jacobian of the per-example gradient p(z) - onehot
+        fd = central_diff_jacobian(lambda v: loss.softmax(v) - np.eye(5)[2], zi)
+        assert_allclose(hi, fd, atol=1e-8)
+    with pytest.raises(ShapeError):
+        loss.output_hessian(z[0])
 
 
 def test_output_hessian_cross_entropy_structure():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        z = rng.normal(size=6) * 3
-        h = loss.output_hessian(loss.CROSS_ENTROPY, z)
-        p = loss.softmax(z)
-        assert_allclose(h.sum(axis=1), np.zeros(6), atol=1e-14)
-        assert np.min(np.linalg.eigvalsh(h)) > -1e-14
-        assert_allclose(np.trace(h), 1.0 - p @ p, rtol=1e-12)
+    z = rng.normal(size=(10, 6)) * 3
+    p = loss.softmax(z)
+    for hi, pi in zip(loss.output_hessian(z), p):
+        assert_allclose(hi.sum(axis=1), np.zeros(6), atol=1e-14)
+        assert np.min(np.linalg.eigvalsh(hi)) > -1e-14
+        assert_allclose(np.trace(hi), 1.0 - pi @ pi, rtol=1e-12)
 
 
 def test_output_hessian_vanishes_as_distribution_collapses():
-    h = loss.output_hessian(loss.CROSS_ENTROPY, np.array([100.0, 0.0, 0.0]))
+    h = loss.output_hessian(np.array([[100.0, 0.0, 0.0]]))
     assert np.linalg.norm(h) < 1e-40
-
-
-def test_output_hessian_squared_error_is_identity():
-    assert_allclose(loss.output_hessian(loss.SQUARED_ERROR, np.ones(4)), np.eye(4))
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8))
 def test_output_hessian_psd_property(seed, k):
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=k) * rng.uniform(0.1, 5.0)
-    h = loss.output_hessian(loss.CROSS_ENTROPY, z)
+    z = rng.normal(size=(1, k)) * rng.uniform(0.1, 5.0)
+    h = loss.output_hessian(z)[0]
     assert np.min(np.linalg.eigvalsh(h)) > -1e-12
     assert_allclose(h, h.T, atol=1e-15)
 

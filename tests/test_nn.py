@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_diff_grad, central_diff_jacobian, flatten_grads
+from helpers import central_diff_grad, central_diff_jacobian, flatten_grads, random_net
 from wdlab import nn
 from wdlab.errors import (
     CapacityError,
@@ -23,6 +23,7 @@ from wdlab.errors import (
     DataFormatError,
     DegenerateError,
     DomainError,
+    NumericalError,
     ShapeError,
 )
 
@@ -128,6 +129,34 @@ def test_batchnorm_running_stats_follow_ema():
     _, trace = nn.forward(spec, params, x, mode="eval", bn_state=state)
     expected = (s - state.means[0]) / np.sqrt(state.variances[0] + 1e-8)
     assert_allclose(trace.bn_normalized[0], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_trace_equals_the_numpy_reference_bit_for_bit(mode):
+    rng = np.random.default_rng(12)
+    spec = nn.mlp((4, 7, 6, 3), bn=True)
+    params = nn.init_params(spec, rng)
+    x = rng.normal(size=(9, 4)) * 3
+    state = nn.BnState.fresh(spec)
+    nn.forward(spec, params, rng.normal(size=(9, 4)), mode="train", bn_state=state)
+    _, trace = nn.forward(spec, params, x, mode=mode, bn_state=state)
+    for h in range(spec.n_hidden):
+        s = trace.pre_activations[h]
+        if mode == "train":
+            mean, var = s.mean(axis=0), s.var(axis=0)
+        else:
+            mean, var = state.means[h], state.variances[h]
+        std = np.sqrt(var + nn.BN_EPSILON)
+        assert np.array_equal(trace.bn_stds[h], std)
+        assert np.array_equal(trace.bn_normalized[h], (s - mean) / std)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_forward_refuses_non_finite_weights_as_a_numerical_failure(bad):
+    spec, params = random_net(np.random.default_rng(13), dims=(3, 4, 2))
+    params.weights[1][0, 2] = bad
+    with pytest.raises(NumericalError, match="layer 1: non-finite weights"):
+        nn.forward(spec, params, np.ones((2, 3)))
 
 
 def test_batchnorm_scale_invariance_under_layer_rescaling():

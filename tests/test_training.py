@@ -14,6 +14,7 @@ from wdlab import config, data, diagnostics, loss, nn, optim, training
 from wdlab.errors import DomainError, TrainingDiverged
 
 from helpers import load_metrics
+from test_data import _idx_images, _idx_labels
 
 
 def tiny_config(tmp_path, **kw):
@@ -138,6 +139,26 @@ def test_an_overflowing_kfac_step_is_divergence(tmp_path, overrides, message):
         training.train(cfg)
     assert exc_info.value.record["epoch"] >= 1
     assert exc_info.value.record["loss"] is None  # the step did not finish
+
+
+# BN makes layer 0 scale-invariant, so its weights overflow while the loss stays finite
+OVERFLOWING_BN = dict(layer_dims=(8, 6, 6, 3), batchnorm=True, activation="identity",
+                      eta=1e200, n_val=0, n_test=16, batch_size=16, epochs=3, seed=1,
+                      probe_size=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("n_train, where", [
+    (64, "at epoch 1, batch offset 32"),  # the next minibatch's forward sees it
+    (16, "at the epoch 2 record"),  # one minibatch an epoch: the record sees it
+], ids=["minibatch", "epoch-record"])
+def test_overflowing_weights_are_divergence(tmp_path, n_train, where):
+    cfg = tiny_config(tmp_path, **OVERFLOWING_BN, n_train=n_train)
+    with pytest.raises(TrainingDiverged, match=f"layer 0: non-finite weights {where}") as exc_info:
+        training.train(cfg)
+    assert exc_info.value.record["loss"] is None
+    assert exc_info.value.record["eta"] == 1e200
+    assert not os.path.exists(os.path.join(cfg.out_dir, "checkpoint.bin"))
 
 
 def test_schedule_drops_recorded_effective_lr(tmp_path):
@@ -398,6 +419,16 @@ def test_grid_marks_an_overflowing_kfac_cell_diverged(tmp_path):
     assert by_eta[0.01].status == "trained" and result.best.eta == 0.01
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_grid_marks_a_cell_with_overflowing_weights_diverged(tmp_path):
+    cfg = tiny_config(tmp_path, **dict(OVERFLOWING_BN, n_val=16), n_train=64)
+    result = training.grid(cfg, etas=[0.1, 1e200], betas=[0.0])
+    by_eta = {c.eta: c for c in result.cells}
+    assert by_eta[1e200].status == "diverged"
+    assert "non-finite weights" in by_eta[1e200].detail
+    assert by_eta[0.1].status == "trained" and result.best.eta == 0.1
+
+
 def test_grid_retrain_trains_on_the_cells_train_then_val_rows(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, epochs=1)
     datasets = []
@@ -492,6 +523,31 @@ def test_build_dataset_holds_its_rows_once(tmp_path):
         tracemalloc.stop()
     assert ds.n == 2000
     assert peak < 1.5 * (ds.x.nbytes + ds.y.nbytes)
+
+
+def test_build_dataset_converts_only_the_kept_mnist_rows(tmp_path):
+    rng = np.random.default_rng(8)
+    images = rng.integers(0, 256, size=(3000, 28, 28)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=3000)
+    (tmp_path / "images.idx").write_bytes(_idx_images(images))
+    (tmp_path / "labels.idx").write_bytes(_idx_labels(labels))
+    cfg = tiny_config(tmp_path, dataset="mnist", mnist_images=str(tmp_path / "images.idx"),
+                      mnist_labels=str(tmp_path / "labels.idx"), layer_dims=(784, 8, 10),
+                      n_train=200, n_val=50, n_test=50)
+    pool_bytes = images.size * 8
+    tracemalloc.start()
+    try:
+        ds = training.build_dataset(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pool_bytes
+    # the same rows and values as splitting the whole float pool
+    pool = data.Dataset(x=images.reshape(3000, -1).astype(np.float64) / 255.0, y=labels,
+                        n_classes=10)
+    want = data.make_splits(pool, 200, 50, 50, seed=cfg.seed)
+    assert np.array_equal(ds.x, want.x) and np.array_equal(ds.y, want.y)
+    assert (ds.n_train, ds.n_val, ds.n_test) == (200, 50, 50)
 
 
 def test_build_dataset_synthetic_split_sizes(tmp_path):
