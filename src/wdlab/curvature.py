@@ -286,12 +286,14 @@ def apply_preconditioner(state: KfacFactors, layer: int, grad) -> np.ndarray:
 # --- metric norms -----------------------------------------------------------
 
 
-def gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float:
+def gn_norm(spec: nn.NetworkSpec, params: nn.NetworkParams, x) -> float | np.ndarray:
     """theta^T G theta for bias-free piecewise-linear nets, evaluated as
-    (L+1)^2 * mean ||f(x)||^2 — the positive-homogeneity shortcut."""
+    (L+1)^2 * mean ||f(x)||^2 — the positive-homogeneity shortcut.  A stack
+    of nets gives one value per net."""
     logits, _ = nn.forward(spec, params, x, mode="eval")
     depth_plus_1 = spec.n_layers
-    return float(depth_plus_1**2 * np.mean(np.sum(logits * logits, axis=1)))
+    norms = depth_plus_1**2 * np.mean(np.sum(logits * logits, axis=-1), axis=-1)
+    return norms if logits.ndim == 3 else float(norms)
 
 
 def gn_norm_gradient(

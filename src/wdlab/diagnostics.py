@@ -47,7 +47,7 @@ def probe_norms(
     in that layer's own parameters.
     """
     logits, trace = nn.forward(spec, params, x, mode="eval", bn_state=bn_state)
-    n, k = logits.shape
+    n, k = logits.shape[-2:]  # a stack's trace goes on to vjp, which refuses it
     if n == 0:
         raise DegenerateError("need at least one probe example")
     jac = block = 0.0

@@ -5,9 +5,10 @@ optional batch normalization on hidden pre-activations (never on the output
 layer).  Being bias-free, a ReLU or linear net is positively homogeneous in
 each layer's weights, which the metric-norm identities rest on.  The forward
 pass captures every intermediate needed by backprop and Kronecker-factor
-estimation.  `vjp`, the one backward, is exact (BN included) and propagates a
-whole stack of seeds in one pass; it returns pre-activation gradients ds_l,
-from which a weight gradient is ds_l^T a_l.
+estimation, of one net or of a stack of nets of one spec.  `vjp`, the one
+backward, is exact (BN included) and propagates a whole stack of seeds
+through one net in one pass; it returns pre-activation gradients ds_l, from
+which a weight gradient is ds_l^T a_l.
 
 Conventions fixed here and relied on everywhere else:
   * weight matrices are out x in; s_l = a_l @ W_l.T,
@@ -118,7 +119,8 @@ def mlp(dims, activation: str = RELU, bn: bool = False) -> NetworkSpec:
 
 @dataclass
 class NetworkParams:
-    """Per-layer weight matrices (out x in)."""
+    """Per-layer weight matrices (out x in); for a stack of m nets, every
+    layer carries one leading axis of length m (m x out x in)."""
 
     weights: list[np.ndarray]
 
@@ -150,7 +152,8 @@ class ForwardTrace:
     layer_inputs[l] is a_l (the input to weight layer l, a_0 = X); the
     post-activation of hidden layer l is layer_inputs[l + 1].
     pre_activations[l] is s_l before BN; for the output layer it equals the
-    logits.  bn_* entries are None for layers without BN.
+    logits.  bn_* entries are None for layers without BN.  A stack's trace
+    carries the stack axis first on every entry above a_0.
     """
 
     mode: str
@@ -174,9 +177,12 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> NetworkParams:
 def check_params(spec: NetworkSpec, params: NetworkParams) -> None:
     if len(params.weights) != spec.n_layers:
         raise ShapeError(f"expected {spec.n_layers} weight matrices, got {len(params.weights)}")
+    if len({w.shape[:-2] for w in params.weights}) > 1:
+        raise ShapeError(f"layers carry different stack lengths: {[w.shape for w in params.weights]}")
     for l, w in enumerate(params.weights):
-        if w.shape != spec.weight_shape(l):
-            raise ShapeError(f"layer {l}: weight shape {w.shape} != {spec.weight_shape(l)}")
+        if w.ndim not in (2, 3) or w.shape[-2:] != spec.weight_shape(l):
+            raise ShapeError(f"layer {l}: weight shape {w.shape} is not {spec.weight_shape(l)} "
+                             f"or a stack of them")
         if not np.isfinite(w).all():
             raise NumericalError(f"layer {l}: non-finite weights")
 
@@ -194,15 +200,20 @@ def forward(
     mode: str = "train",
     bn_state: BnState | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the network on a batch (n x d) and capture the full trace.
+    """Run the network, or a stack of m nets, on a batch (n x d) and capture
+    the full trace; a stack's logits are m x n x k.
 
-    mode="train" normalizes with batch statistics (and updates `bn_state`'s
-    running averages when given); mode="eval" uses the running statistics,
-    defaulting to mean 0 / variance 1 if no state is supplied.
+    mode="train" normalizes with each net's batch statistics (and updates
+    `bn_state`'s running averages when given, which a stack may not);
+    mode="eval" uses the running statistics, defaulting to mean 0 /
+    variance 1 if no state is supplied.
     """
     if mode not in ("train", "eval"):
         raise DomainError(f"mode must be 'train' or 'eval', got {mode!r}")
     check_params(spec, params)
+    stacked = params.weights[0].ndim == 3
+    if stacked and mode == "train" and bn_state is not None:
+        raise ContractError("a stack's train-mode forward would write stacked running statistics")
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
         raise ShapeError(f"input has shape {a.shape}, spec wants (n, {spec.input_dim})")
@@ -219,16 +230,16 @@ def forward(
     )
     for l in range(spec.n_layers):
         trace.layer_inputs.append(a)
-        s = a @ params.weights[l].T
+        s = a @ np.swapaxes(params.weights[l], -1, -2)
         trace.pre_activations.append(s)
         if l == spec.n_layers - 1:
             trace.logits = s
             return s, trace
         if spec.bn_at(l):
             if mode == "train":
-                mean = s.mean(axis=0)
+                mean = s.mean(axis=-2, keepdims=stacked)
                 z = s - mean
-                var = (z * z).mean(axis=0)  # biased, as np.var computes it
+                var = (z * z).mean(axis=-2, keepdims=stacked)  # biased, as np.var computes it
                 if bn_state is not None:
                     bn_state.update(l, mean, var)
             else:
@@ -263,6 +274,8 @@ def vjp(
     train mode the BN backward includes the batch statistics' dependence on
     the pre-activations; in eval mode the statistics are constants.
     """
+    if params.weights[0].ndim != 2:
+        raise ContractError("the backward takes one net, not a stack of weight sets")
     g = np.asarray(seeds, dtype=np.float64)
     if g.ndim not in (2, 3) or g.shape[-2:] != trace.logits.shape:
         raise ShapeError(f"seed shape {g.shape} is not logits {trace.logits.shape} or a stack of them")
@@ -325,7 +338,7 @@ def input_jacobian(spec: NetworkSpec, params: NetworkParams, trace: ForwardTrace
     examples must not couple: eval-mode trace, or a net without BN."""
     if trace.mode == "train" and spec.has_bn:
         raise ContractError("per-example input Jacobians need an eval-mode trace under BN")
-    _, x_grads = vjp(spec, params, trace, output_seeds(*trace.logits.shape), inputs=True)
+    _, x_grads = vjp(spec, params, trace, output_seeds(*trace.logits.shape[-2:]), inputs=True)
     return x_grads.transpose(1, 0, 2)
 
 
@@ -335,10 +348,12 @@ def flatten_params(spec: NetworkSpec, params: NetworkParams) -> np.ndarray:
 
 
 def unflatten_params(spec: NetworkSpec, theta: np.ndarray) -> NetworkParams:
+    """The net of a canonical parameter vector, or the stack of nets of an
+    m x P array of them, one per row."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.n_params,):
-        raise ShapeError(f"theta has {theta.shape}, spec wants ({spec.n_params},)")
-    return NetworkParams(weights=[theta[s].reshape(spec.weight_shape(l)).copy()
+    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
+        raise ShapeError(f"theta has {theta.shape}, spec wants ({spec.n_params},) or (m, {spec.n_params})")
+    return NetworkParams(weights=[theta[..., s].reshape(theta.shape[:-1] + spec.weight_shape(l)).copy()
                                   for l, s in enumerate(layer_slices(spec))])
 
 
@@ -368,7 +383,7 @@ def param_jacobian(
     """
     if spec.n_params > PARAM_CAP:
         raise CapacityError(f"{spec.n_params} parameters exceed the cap of {PARAM_CAP}")
-    n, k = trace.logits.shape
+    n, k = trace.logits.shape[-2:]  # a stack's trace goes on to vjp, which refuses it
     if trace.mode == "eval" or not spec.has_bn:
         s_grads, _ = vjp(spec, params, trace, output_seeds(n, k))
         parts = [np.einsum("cno,ni->ncoi", g, a).reshape(n, k, -1)

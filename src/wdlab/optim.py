@@ -293,13 +293,13 @@ def reference_normalized_sgd_step(
     theta_hat,
     norm_l: float,
     grad_at_theta_hat,
-    eta: float,
+    eta: float | np.ndarray,
 ) -> np.ndarray:
     """First-order SGD update of a scale-invariant layer's direction:
     subtract eta / norm^2 times the tangentially projected gradient.  The
     bare first-order point is returned, not renormalized: its gap to the
     true next direction is the quadratic-in-eta residual that the scaling
-    checks measure."""
+    checks measure.  An array of etas gives one point per eta, stacked."""
     if norm_l <= 0:
         raise DegenerateError(f"layer norm must be positive, got {norm_l}")
     v = _check_unit(theta_hat)
@@ -307,7 +307,7 @@ def reference_normalized_sgd_step(
     if g.shape != v.shape:
         raise ShapeError(f"gradient shape {g.shape} != direction shape {v.shape}")
     tangent = g - (v @ g) * v
-    return v - (eta / norm_l**2) * tangent
+    return v - np.multiply.outer(eta / norm_l**2, tangent)
 
 
 def reference_normalized_kfac_step(
@@ -316,13 +316,14 @@ def reference_normalized_kfac_step(
     c_at_theta_hat,
     lam: float,
     grad_at_theta_hat,
-    eta: float,
+    eta: float | np.ndarray,
 ) -> np.ndarray:
     """First-order preconditioned update of a scale-invariant layer's
     direction: the tangential projection of (C(theta_hat) + norm^2 lam I)^-1
     grad, as the bare first-order point (not renormalized) that the
     quadratic-residual scaling checks measure.  The effective damping grows
-    with the squared layer norm."""
+    with the squared layer norm.  An array of etas gives one point per eta,
+    stacked, from one solve."""
     if norm_l <= 0:
         raise DegenerateError(f"layer norm must be positive, got {norm_l}")
     if lam < 0:
@@ -343,4 +344,4 @@ def reference_normalized_kfac_step(
     if not np.all(np.isfinite(precond)):
         raise NumericalError("preconditioned gradient is not finite")
     step = precond - (v @ precond) * v
-    return v - eta * step
+    return v - np.multiply.outer(eta, step)

@@ -70,6 +70,11 @@ def random_net(rng, dims=(4, 5, 3), activation=nn.RELU, bn=False):
     return spec, params
 
 
+def stack_nets(nets):
+    """One stacked NetworkParams of a list of nets of one spec."""
+    return nn.NetworkParams(weights=[np.stack(ws) for ws in zip(*(p.weights for p in nets))])
+
+
 def ref_curvature(kind, logits, jac, loss_kind):
     """Dense curvature by explicit per-example loops: sum_i J_i^T H_i J_i / n
     for the generalized GN, and with H = I for the GN and every squared-error

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_diff_grad, central_diff_jacobian, kron_precondition, ref_curvature
+from helpers import (central_diff_grad, central_diff_jacobian, kron_precondition, ref_curvature,
+                     stack_nets)
 from wdlab import curvature, diagnostics, loss, nn
 from wdlab.errors import (
     CapacityError,
@@ -507,6 +508,17 @@ def test_gn_norm_gradient_matches_finite_differences_on_linear_net():
     got = curvature.gn_norm_gradient(spec, params, x)
     fd = central_diff_grad(norm_of, theta, h=1e-5)
     assert_allclose(got, fd, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("activation", [nn.RELU, nn.IDENTITY])
+def test_stacked_gn_norm_equals_per_net_calls(activation):
+    rng = np.random.default_rng(25)
+    spec = nn.mlp((3, 5, 4, 2), activation=activation)
+    nets = [nn.init_params(spec, rng) for _ in range(6)]
+    x = rng.normal(size=(9, 3))
+    got = curvature.gn_norm(spec, stack_nets(nets), x)
+    assert got.shape == (6,)
+    assert [float(v) for v in got] == [curvature.gn_norm(spec, p, x) for p in nets]
 
 
 # --- normalized traces ------------------------------------------------------

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_diff_grad, central_diff_jacobian, flatten_grads, random_net
-from wdlab import nn
+from helpers import (central_diff_grad, central_diff_jacobian, flatten_grads, random_net,
+                     stack_nets)
+from wdlab import diagnostics, nn
 from wdlab.errors import (
     CapacityError,
     ContractError,
@@ -341,6 +342,91 @@ def test_param_jacobian_respects_capacity_cap():
     _, trace = nn.forward(spec, params, np.zeros((1, 100)), mode="eval")
     with pytest.raises(CapacityError):
         nn.param_jacobian(spec, params, trace)
+
+
+# --- stacks of nets ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("bn", [False, True])
+@pytest.mark.parametrize("activation", [nn.RELU, nn.IDENTITY])
+def test_stacked_forward_equals_separate_forwards_bit_for_bit(mode, bn, activation):
+    # the width-1 hidden layer makes each BN mean a reduction along contiguous memory
+    rng = np.random.default_rng(16)
+    spec = nn.mlp((4, 7, 1, 5, 3), activation=activation, bn=bn)
+    nets = [nn.init_params(spec, rng) for _ in range(5)]
+    x = 3.0 * rng.normal(size=(12, 4))
+    state = nn.BnState.fresh(spec)
+    nn.forward(spec, nets[0], rng.normal(size=(12, 4)), mode="train", bn_state=state)
+    eval_state = state if mode == "eval" else None
+    logits, trace = nn.forward(spec, stack_nets(nets), x, mode=mode, bn_state=eval_state)
+    assert logits.shape == (5, 12, 3)
+    assert trace.layer_inputs[0].shape == (12, 4)
+    for i, net in enumerate(nets):
+        want_logits, want = nn.forward(spec, net, x, mode=mode, bn_state=eval_state)
+        assert np.array_equal(logits[i], want_logits)
+        assert np.array_equal(trace.layer_inputs[0], want.layer_inputs[0])
+        for got_entries, want_entries in (
+            (trace.layer_inputs[1:], want.layer_inputs[1:]),
+            (trace.pre_activations, want.pre_activations),
+            (trace.bn_stds, want.bn_stds),
+            (trace.bn_normalized, want.bn_normalized),
+        ):
+            for got, ref in zip(got_entries, want_entries):
+                if ref is None:
+                    assert got is None
+                    continue
+                # eval-mode statistics are the state's, shared by the stack
+                member = got[i] if got.ndim == 3 else got
+                assert np.array_equal(member.reshape(ref.shape), ref)
+
+
+def test_stacked_forward_refusals():
+    rng = np.random.default_rng(17)
+    spec = nn.mlp((3, 4, 2), bn=True)
+    nets = [nn.init_params(spec, rng) for _ in range(3)]
+    x = rng.normal(size=(6, 3))
+    stack = stack_nets(nets)
+    with pytest.raises(ContractError, match="stacked running statistics"):
+        nn.forward(spec, stack, x, mode="train", bn_state=nn.BnState.fresh(spec))
+    uneven = nn.NetworkParams(weights=[stack.weights[0], stack.weights[1][:2]])
+    with pytest.raises(ShapeError, match="different stack lengths"):
+        nn.forward(spec, uneven, x)
+    mixed = nn.NetworkParams(weights=[stack.weights[0], nets[0].weights[1]])
+    with pytest.raises(ShapeError, match="different stack lengths"):
+        nn.forward(spec, mixed, x)
+    nested = nn.NetworkParams(weights=[w[None] for w in stack.weights])
+    with pytest.raises(ShapeError, match="or a stack of them"):
+        nn.forward(spec, nested, x)
+
+
+def test_the_backward_and_its_callers_refuse_a_stack():
+    rng = np.random.default_rng(18)
+    spec = nn.mlp((3, 4, 2))
+    stack = stack_nets([nn.init_params(spec, rng) for _ in range(3)])
+    x = rng.normal(size=(6, 3))
+    logits, trace = nn.forward(spec, stack, x, mode="eval")
+    with pytest.raises(ContractError, match="not a stack"):
+        nn.vjp(spec, stack, trace, np.ones(logits.shape[1:]))
+    with pytest.raises(ContractError, match="not a stack"):
+        nn.param_jacobian(spec, stack, trace)
+    with pytest.raises(ContractError, match="not a stack"):
+        nn.input_jacobian(spec, stack, trace)
+    with pytest.raises(ContractError, match="not a stack"):
+        diagnostics.probe_norms(spec, stack, x)
+
+
+def test_stacked_unflatten_equals_per_row_unflatten():
+    rng = np.random.default_rng(19)
+    spec = nn.NetworkSpec((3, 4, 2))
+    thetas = rng.normal(size=(4, spec.n_params))
+    stack = nn.unflatten_params(spec, thetas)
+    for i, theta in enumerate(thetas):
+        for got, want in zip(stack.weights, nn.unflatten_params(spec, theta).weights):
+            assert got.flags.owndata and np.array_equal(got[i], want)
+    for bad in (np.zeros((4, spec.n_params + 1)), np.zeros((2, 4, spec.n_params))):
+        with pytest.raises(ShapeError, match="theta has"):
+            nn.unflatten_params(spec, bad)
 
 
 # --- parameter vector plumbing ----------------------------------------------

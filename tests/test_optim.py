@@ -559,6 +559,22 @@ def test_reference_kfac_step_reduces_to_sgd_form():
     assert_allclose(a, b, rtol=1e-12)
 
 
+def test_reference_steps_take_an_array_of_etas_bit_for_bit():
+    rng = np.random.default_rng(14)
+    v = rng.normal(size=6)
+    v /= np.linalg.norm(v)
+    g = rng.normal(size=6)
+    b = rng.normal(size=(6, 6))
+    c = b @ b.T
+    etas = np.array([1e-2, 5e-3, 2.5e-3])
+    sgd = optim.reference_normalized_sgd_step(v, 1.7, g, etas)
+    kfac = optim.reference_normalized_kfac_step(v, 1.7, c, 1e-2, g, etas)
+    assert sgd.shape == kfac.shape == (3, 6)
+    for eta, sgd_row, kfac_row in zip(etas, sgd, kfac):
+        assert np.array_equal(sgd_row, optim.reference_normalized_sgd_step(v, 1.7, g, eta))
+        assert np.array_equal(kfac_row, optim.reference_normalized_kfac_step(v, 1.7, c, 1e-2, g, eta))
+
+
 def _bn_layer_step_discrepancy(eta, seed):
     """One actual SGD step on a BN net vs the bare first-order direction
     formula, for layer 0."""

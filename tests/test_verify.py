@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from wdlab import curvature, loss, nn, optim, verify
+from helpers import central_diff_grad
+from wdlab import curvature, linalg, loss, nn, optim, verify
 from wdlab.errors import DegenerateError
 
 TRIALS = 25  # the acceptance gate runs the full 100; keep unit tests brisk
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call; return the record."""
+    true_fn, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return true_fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(verify.CHECKS))
@@ -118,14 +131,7 @@ def test_corrupted_curvature_fails_scaling_check(monkeypatch):
     ("curvature_block_scaling", 2, 0),
 ])
 def test_checks_build_each_jacobian_once(monkeypatch, name, per_trial, per_tenth_trial):
-    true_jacobian = nn.param_jacobian
-    calls = []
-
-    def counted(spec, params, trace):
-        calls.append(None)
-        return true_jacobian(spec, params, trace)
-
-    monkeypatch.setattr(nn, "param_jacobian", counted)
+    calls = _counting(monkeypatch, nn, "param_jacobian")
     report = verify.CHECKS[name](trials=10, seed=4)
     assert report.passed
     assert len(calls) == 10 * per_trial + per_tenth_trial
@@ -172,3 +178,74 @@ def test_scaling_control_flags_an_output_block_that_scales(monkeypatch):
 
     monkeypatch.setattr(curvature, "per_example_param_jacobians", shrunk)
     assert verify.check_curvature_scaling(trials=3, seed=0).max_rel_error == float("inf")
+
+
+def test_stacked_differences_equal_the_per_coordinate_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        dims = verify._random_dims(rng, max_depth=2, lo=2, hi=5)
+        spec, params, x, _ = verify._bias_free_net(
+            rng, dims, 5, "relu" if trial % 2 == 0 else "identity", margin=1e-3)
+
+        def norm_of(theta):
+            return curvature.gn_norm(spec, nn.unflatten_params(spec, theta), x)
+
+        want = central_diff_grad(norm_of, nn.flatten_params(spec, params), h=1e-6)
+        assert np.array_equal(verify._central_differences(spec, params, x, 1e-6), want)
+
+
+def test_gn_gradient_check_takes_two_stacked_norms_per_trial(monkeypatch):
+    calls = _counting(monkeypatch, curvature, "gn_norm")
+    assert verify.check_gn_gradient(trials=10, seed=4).passed
+    assert len(calls) == 2 * 10
+
+
+def test_scale_invariance_check_runs_one_forward_per_trial_beyond_its_sampler(monkeypatch):
+    forwards = _counting(monkeypatch, nn, "forward")
+    true_sampler, sampled = verify._bn_net, []
+
+    def sampler(*args, **kwargs):
+        before = len(forwards)
+        out = true_sampler(*args, **kwargs)
+        sampled.append(len(forwards) - before)
+        return out
+
+    monkeypatch.setattr(verify, "_bn_net", sampler)
+    assert verify.check_bn_scale_invariance(trials=10, seed=4).passed
+    assert len(sampled) == 10
+    assert len(forwards) - sum(sampled) == 10
+
+
+def test_update_rules_check_decomposes_one_curvature_per_trial(monkeypatch):
+    calls = _counting(monkeypatch, linalg, "sym_eig")
+    assert verify.check_update_rules(trials=10, seed=4).passed
+    assert len(calls) == 10
+
+
+def test_gradient_control_flags_differences_of_the_norm_without_its_depth_factor(monkeypatch):
+    # differences of gn_norm / (L+1) are 2 G theta, the control's value
+    true_norm = curvature.gn_norm
+    monkeypatch.setattr(curvature, "gn_norm",
+                        lambda spec, params, x: true_norm(spec, params, x) / spec.n_layers)
+    assert verify.check_gn_gradient(trials=3, seed=0).max_rel_error == float("inf")
+
+
+def test_update_rules_redraw_a_residual_at_the_noise_floor(monkeypatch):
+    # the first draw's residuals read as noise; the trial redraws instead of
+    # skipping, so every trial is checked
+    true_discrepancy = verify._normalized_step_discrepancy
+    draws = []
+
+    def floored_first(*args):
+        d_sgd, d_ng, d_control = true_discrepancy(*args)
+        draws.append(None)
+        return (d_sgd if len(draws) > 1 else [0.0] * len(d_sgd)), d_ng, d_control
+
+    monkeypatch.setattr(verify, "_normalized_step_discrepancy", floored_first)
+    report = verify.check_update_rules(trials=2, seed=0)
+    assert report.passed and len(draws) == 3
+
+    monkeypatch.setattr(verify, "_normalized_step_discrepancy",
+                        lambda *args: ([0.0] * 3, [0.0] * 3, [0.0] * 3))
+    with pytest.raises(DegenerateError, match="noise floor"):
+        verify.check_update_rules(trials=1, seed=0)
